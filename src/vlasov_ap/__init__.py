@@ -18,7 +18,6 @@ from .averaging import (
 )
 from .domain import (
     PhaseGrid,
-    StateField,
     TorusGrid,
     initial_distribution,
     rotate_to_rv,
@@ -63,7 +62,6 @@ __all__ = [
     "RunResult",
     "SplittingSolver",
     "StabilityFailure",
-    "StateField",
     "TENSIONS",
     "TorusGrid",
     "ZeroField",

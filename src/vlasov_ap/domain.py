@@ -63,23 +63,6 @@ class TorusGrid:
         return self.delta_tau * np.arange(self.n_tau)
 
 
-@dataclass
-class StateField:
-    """Two-scale unknown F(tau_l, xi1_i, xi2_j) stored as a (n_tau, n, n) array."""
-
-    values: np.ndarray
-    phase: PhaseGrid
-    torus: TorusGrid
-
-    def __post_init__(self):
-        expect = (self.torus.n_tau, self.phase.n_points, self.phase.n_points)
-        if self.values.shape != expect:
-            raise ValueError(f"state shape {self.values.shape} does not match grids {expect}")
-
-    def copy(self) -> "StateField":
-        return StateField(self.values.copy(), self.phase, self.torus)
-
-
 def rotate_to_xi(tau, r, v):
     """Rotate (r, v) into the filtered frame: xi = e^{-J tau} (r, v)."""
     c, s = np.cos(tau), np.sin(tau)

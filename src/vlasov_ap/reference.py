@@ -181,6 +181,17 @@ class SplittingSolver:
         f = self._kick(f, t0, dt)
         return self._drift(f, 1, dt)
 
+    def advance(self, f: np.ndarray, k0: int, k1: int, dt: float) -> np.ndarray:
+        """Strang steps from t = k0 dt to t = k1 dt.
+
+        The two half drifts that meet between consecutive steps are fused into
+        one full drift, so only the first and the last half drift remain.
+        """
+        for n in range(k0, k1):
+            f = self._drift(f, 1 if n == k0 else 2, dt)
+            f = self._kick(f, n * dt, dt)
+        return self._drift(f, 1, dt) if k1 > k0 else f
+
     def run(self, t_final: float, dt: float, sample_every: int = 0):
         """Generate (t, f) snapshots; consecutive half drifts are fused between samples.
 
@@ -196,16 +207,12 @@ class SplittingSolver:
         if n_steps == 0:
             return
         dt = t_final / n_steps
-        inside = False  # true when a trailing half drift is pending
-        for n in range(1, n_steps + 1):
-            f = self._drift(f, 2 if inside else 1, dt)
-            f = self._kick(f, (n - 1) * dt, dt)
-            if n == n_steps or (sample_every and n % sample_every == 0):
-                f = self._drift(f, 1, dt)
-                inside = False
-                yield n * dt, f
-            else:
-                inside = True
+        k0 = 0
+        for k in range(1, n_steps + 1):
+            if k == n_steps or (sample_every and k % sample_every == 0):
+                f = self.advance(f, k0, k, dt)
+                k0 = k
+                yield k * dt, f
 
     def solve(self, t_final: float, dt: float) -> np.ndarray:
         """Final state only."""

@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import averaging, fields
-from .domain import PhaseGrid, StateField, TorusGrid, initial_distribution, rotate_to_xi
+from .domain import PhaseGrid, TorusGrid, initial_distribution, rotate_to_xi
 from .errors import NonMeanFreeTension, StabilityFailure, ZeroField
 
 
@@ -208,24 +208,30 @@ class APSolver:
         f_rv = fields.sample_plane(f_tilde, self.phase, x1, x2, order=1)
         return f_tilde, f_rv
 
-    def state_field(self, values: np.ndarray) -> StateField:
-        return StateField(values, self.phase, self.torus)
-
 
 class DiffusionSolver:
     """Micro-macro stepper for the diffusion time scale (tau = t/eps^2 driver).
 
     Requires a tension whose applied field is mean-free on the torus; the
     macro part G = Pi F then moves only through the averaged product of
-    fluctuations.  States are carried as the pair (G, h).
+    fluctuations.  States are carried as the pair (G, h); the initial data and
+    the readout are those of a linear-mode APSolver on the same grids.
     """
 
-    def __init__(self, phase: PhaseGrid, torus: TorusGrid, tension: fields.Tension, epsilon: float):
+    def __init__(
+        self,
+        phase: PhaseGrid,
+        torus: TorusGrid,
+        tension: fields.Tension,
+        epsilon: float,
+        f0_params: dict | None = None,
+    ):
         self.phase = phase
         self.torus = torus
         self.tension = tension
         self.epsilon = epsilon
-        e1, e2 = fields.sample_applied_field(tension, torus, phase)
+        self.transport = APSolver(phase, torus, tension, epsilon, f0_params=f0_params)
+        e1, e2 = self.transport.applied
         sup = max(np.abs(e1).max(), np.abs(e2).max())
         mean_sup = max(np.abs(e1.mean(axis=0)).max(), np.abs(e2.mean(axis=0)).max())
         if sup > 0 and mean_sup > 1e-10 * sup:
@@ -236,11 +242,12 @@ class DiffusionSolver:
 
     def initial_split(self, init: str = "corrected"):
         """(G0, h0) from the same well-prepared data as the transport solver."""
-        helper = APSolver(
-            self.phase, self.torus, self.tension, self.epsilon, mode="linear"
-        )
-        g, h = averaging.micro_macro_split(helper.initial_state(init))
-        return g, h
+        return averaging.micro_macro_split(self.transport.initial_state(init))
+
+    def readout(self, g: np.ndarray, h: np.ndarray, t: float):
+        """Filtered and lab-frame fields at time t; tau runs at t/eps^2 on this scale."""
+        theta = (t / self.epsilon ** 2) % (2.0 * np.pi)
+        return self.transport.readout_at(g[None] + h, theta)
 
     def step(self, g: np.ndarray, h: np.ndarray, dt: float):
         """One micro-macro step; G is advanced explicitly, h through the resolvent."""

@@ -58,6 +58,9 @@ def test_config_mistakes_exit_2(tmp_path, capsys):
     incomplete = tmp_path / "half.cfg"
     incomplete.write_text("epsilon = 0.5\n")
     assert main(["run", str(incomplete)]) == 2
+    # the closed forms exist for tension cos2sq only
+    assert main(["run", cfg, "--scheme", "limit", "--tension", "cos4"]) == 2
+    assert main(["table", cfg, "--tension", "cos4", "--eps", "0.5"]) == 2
     assert "error:" in capsys.readouterr().err
 
 

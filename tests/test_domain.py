@@ -5,7 +5,6 @@ import pytest
 
 from vlasov_ap.domain import (
     PhaseGrid,
-    StateField,
     TorusGrid,
     initial_distribution,
     rotate_to_rv,
@@ -49,14 +48,6 @@ def test_torus_grid_nodes():
     torus = TorusGrid(16)
     np.testing.assert_allclose(torus.nodes, 2.0 * np.pi * np.arange(16) / 16, rtol=0, atol=1e-15)
     assert torus.delta_tau == 2.0 * np.pi / 16
-
-
-def test_state_field_shape_check():
-    phase = PhaseGrid(8)
-    torus = TorusGrid(4)
-    StateField(np.zeros((4, 8, 8)), phase, torus)
-    with pytest.raises(ValueError):
-        StateField(np.zeros((8, 4, 4)), phase, torus)
 
 
 def test_rotation_matrices_orthogonal():

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from vlasov_ap import harness
 from vlasov_ap.domain import PhaseGrid, initial_distribution
 from vlasov_ap.errors import StabilityFailure, ZeroReference
 from vlasov_ap.fields import get_tension
 from vlasov_ap.harness import (
+    SCHEMES,
     DiagnosticsRecord,
     RunConfig,
     boundary_mass_fraction,
@@ -15,6 +17,7 @@ from vlasov_ap.harness import (
     rel_error,
     rms,
     run,
+    table_study,
     total_mass,
 )
 from vlasov_ap.reference import SplittingSolver, limit_solution
@@ -207,6 +210,77 @@ def test_limit_snapshot_is_lossless(tmp_path):
     assert np.array_equal(data[:, 2].reshape(32, 32), limit_solution(0.75, x1, x2))
 
 
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_every_scheme_observes_exactly_the_scheduled_steps(scheme, tmp_path, monkeypatch):
+    calls = {"_drift": 0, "_kick": 0}
+    for name in calls:
+        method = getattr(SplittingSolver, name)
+
+        def counted(*args, _method=method, _name=name):
+            calls[_name] += 1
+            return _method(*args)
+
+        monkeypatch.setattr(SplittingSolver, name, counted)
+    # 8 steps of 0.0125: rows at steps 0, 4 and 8; snapshots at step 3 and at
+    # step 8, which the request past t_final is clamped to
+    dt = 0.0125
+    cfg = RunConfig(epsilon=0.25, t_final=8 * dt, n_points=32, n_tau=16, scheme=scheme,
+                    tension="cos4" if scheme == "diffusion" else "cos2sq", delta_t=dt,
+                    rms_every=4, snapshot_times=(3 * dt, 8 * dt, 1.0), output_dir=str(tmp_path))
+    result = run(cfg)
+    assert result.n_steps == 8 and result.dt == dt
+    rows = np.loadtxt(tmp_path / "rms.csv", delimiter=",", skiprows=1)
+    np.testing.assert_array_equal(rows[:, 0], [0.0, 4 * dt, 8 * dt])
+    snaps = sorted(p.name for p in tmp_path.glob("snapshot_*.csv"))
+    assert snaps == [f"snapshot_{3 * dt:.6g}.csv", f"snapshot_{8 * dt:.6g}.csv"]
+    if scheme == "splitting":
+        # half drifts are fused between observed steps 0, 3, 4 and 8 only
+        assert calls == {"_drift": 11, "_kick": 8}
+        calls.update(_drift=0, _kick=0)
+        run(cfg.replace(snapshot_times=()), write=False)
+        assert calls == {"_drift": 10, "_kick": 8}
+
+
+def test_snapshot_requests_on_one_step_share_a_file(tmp_path):
+    # dt = 0.0125: 0.02 and 0.024 round to step 2; 0.05 and 0.5 land on step 4
+    cfg = RunConfig(epsilon=0.5, t_final=0.05, n_points=32, scheme="limit", delta_t=0.0125,
+                    snapshot_times=(0.02, 0.024, 0.05, 0.5), output_dir=str(tmp_path))
+    run(cfg)
+    names = sorted(p.name for p in tmp_path.glob("snapshot_*.csv"))
+    assert names == ["snapshot_0.025.csv", "snapshot_0.05.csv"]
+
+
+def test_colliding_snapshot_names_are_rejected_before_stepping(tmp_path):
+    # steps 5000000 and 5000001 of dt = 1e-7 both print as 0.5 with %.6g
+    out = tmp_path / "out"
+    cfg = RunConfig(epsilon=0.5, t_final=1.0, n_points=32, scheme="limit", delta_t=1e-7,
+                    rms_every=1 << 30, snapshot_times=(0.5, 0.5000001), output_dir=str(out))
+    with pytest.raises(ValueError, match="snapshot"):
+        run(cfg)
+    assert not out.exists()
+
+
+def test_diffusion_starts_from_the_configured_beam():
+    cfg = RunConfig(epsilon=0.1, t_final=0.0, n_points=32, n_tau=16, scheme="diffusion",
+                    tension="cos4", init="plain", delta_t=0.01, alpha=0.4, edge=0.8)
+    result = run(cfg, write=False)
+    x1, x2 = PhaseGrid(32).mesh()
+    want = initial_distribution(x1, x2, alpha=0.4, edge=0.8)
+    assert np.abs(result.f_tilde - want).max() < 1e-13
+
+
+def test_closed_forms_are_cos2sq_only():
+    for scheme in ("limit", "second_order"):
+        cfg = RunConfig(epsilon=0.05, t_final=0.0, n_points=32, scheme=scheme, tension="cos4")
+        with pytest.raises(ValueError, match="cos2sq"):
+            run(cfg, write=False)
+    cfg = RunConfig(epsilon=0.05, t_final=0.02, n_points=32, tension="cos4")
+    with pytest.raises(ValueError, match="cos2sq"):
+        table_study(cfg, eps_list=(0.05,), write=False)
+    # below eps = 0.1 only cos2sq has the second-order shortcut
+    assert np.array_equal(reference_filtered(cfg), harness._splitting_reference(cfg))
+
+
 def test_small_box_warns_about_edge_mass(tmp_path):
     cfg = RunConfig(epsilon=0.5, t_final=0.0, n_points=32, xi_max=2.0,
                     scheme="limit", output_dir=str(tmp_path))
@@ -319,6 +393,22 @@ def test_reference_cache_is_memoized(tmp_path):
     assert np.array_equal(reference_filtered(cfg, cache_dir=str(cache)), marker)
     reference_filtered(cfg.replace(epsilon=0.5), cache_dir=str(cache))
     assert len(sorted(cache.glob("*.npy"))) == 2
+
+
+def test_reference_cache_replaces_a_truncated_entry(tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    cfg = RunConfig(epsilon=0.25, t_final=0.1, n_points=32)
+    first = reference_filtered(cfg, cache_dir=str(cache))
+    (entry,) = cache.iterdir()
+    entry.write_bytes(entry.read_bytes()[: entry.stat().st_size // 2])
+    assert np.array_equal(reference_filtered(cfg, cache_dir=str(cache)), first)
+    # replaced in place, no temp file left behind
+    assert [p.name for p in cache.iterdir()] == [entry.name]
+    assert np.array_equal(np.load(entry), first)
+    # a new format version never reads the old entries
+    monkeypatch.setattr(harness, "REFERENCE_CACHE_VERSION", harness.REFERENCE_CACHE_VERSION + 1)
+    reference_filtered(cfg, cache_dir=str(cache))
+    assert len(list(cache.iterdir())) == 2
 
 
 def test_reference_n_must_match_grid(tmp_path):
