@@ -43,7 +43,7 @@ import numpy as np
 from . import averaging, reference, stepper
 from .domain import PhaseGrid, TorusGrid
 from .errors import NonMeanFreeTension, StabilityFailure, ZeroReference
-from .fields import applied_field, get_tension, radial_field
+from .fields import TENSIONS, applied_field, get_tension, radial_field
 
 SCHEMES = ("ap", "splitting", "limit", "second_order", "diffusion")
 FMT = "%.17g"
@@ -85,6 +85,8 @@ class RunConfig:
             raise ValueError(f"unknown init {self.init!r}")
         if self.mode not in ("linear", "poisson"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.tension not in TENSIONS:
+            raise ValueError(f"unknown tension {self.tension!r}; expected one of {sorted(TENSIONS)}")
         if self.epsilon <= 0 or self.t_final < 0:
             raise ValueError("epsilon must be positive and t_final nonnegative")
         if self.delta_t is not None and self.delta_t <= 0:

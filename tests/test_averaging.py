@@ -178,3 +178,79 @@ def test_micro_macro_split():
     g2, h2 = micro_macro_split(const)
     np.testing.assert_allclose(g2, f[0], atol=1e-15)
     np.testing.assert_allclose(h2, 0.0, atol=1e-14)
+
+
+def fourier_tau(g, symbol):
+    """irfft(symbol * rfft(g)) along axis 0; symbol has one entry per rfft bin."""
+    s = symbol.reshape((-1,) + (1,) * (g.ndim - 1))
+    return np.fft.irfft(s * np.fft.rfft(g, axis=0), n=g.shape[0], axis=0)
+
+
+def derivative_symbol(n):
+    s = 1j * np.arange(n // 2 + 1)
+    s[-1] = 0.0
+    return s
+
+
+def primitive_symbol(n):
+    s = np.zeros(n // 2 + 1, dtype=complex)
+    s[1:-1] = 1.0 / (1j * np.arange(1, n // 2))
+    return s
+
+
+def resolvent_symbol(n, lam):
+    s = 1.0 / (1.0 + 1j * lam * np.arange(n // 2 + 1))
+    s[-1] = 1.0 / (1.0 + (lam * (n // 2)) ** 2)
+    return s
+
+
+def fourier_eval(g, tau_star):
+    """Direct trigonometric sum of the rfft coefficients at tau_star."""
+    n = g.shape[0]
+    gh = np.fft.rfft(g, axis=0)
+    k = np.arange(1, n // 2).reshape((-1,) + (1,) * (g.ndim - 1))
+    val = gh[0].real + 2.0 * (gh[1:-1] * np.exp(1j * k * tau_star)).real.sum(axis=0)
+    return (val + gh[-1].real * np.cos((n // 2) * tau_star)) / n
+
+
+def white_noise(shape_id):
+    """O(1) samples carrying every tau harmonic, the Nyquist bin included."""
+    rng = np.random.default_rng(20)
+    return {
+        "1d": rng.standard_normal(64),
+        "2d": rng.standard_normal((16, 5)),
+        "3d": rng.standard_normal((32, 6, 7)),
+        "transposed": rng.standard_normal((6, 64, 7)).transpose(1, 0, 2),
+        "strided": rng.standard_normal((128, 9, 4))[::2, :, 1:3],
+    }[shape_id]
+
+
+def assert_matches(got, want):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-13 * max(np.abs(want).max(), 1.0)
+
+
+SHAPES = ("1d", "2d", "3d", "transposed", "strided")
+
+
+@pytest.mark.parametrize("shape_id", SHAPES)
+def test_operators_match_fourier_definition(shape_id):
+    g = white_noise(shape_id)
+    n = g.shape[0]
+    nyquist = np.fft.rfft(g, axis=0)[-1]
+    assert np.abs(nyquist).max() > 0.1
+    assert_matches(spectral_derivative(g), fourier_tau(g, derivative_symbol(n)))
+    h = fluctuation(g)
+    assert_matches(invert_derivative(h), fourier_tau(h, primitive_symbol(n)))
+    for lam in (1e-3, 0.7, 1e3, 1e8):
+        assert_matches(solve_implicit_tau(g, lam), fourier_tau(g, resolvent_symbol(n, lam)))
+    for tau_star in (0.0, 0.3, 2.71, 2.0 * np.pi * 5 / n):
+        assert_matches(np.asarray(eval_at_tau(g, tau_star)), fourier_eval(g, tau_star))
+
+
+def test_operator_edge_cases():
+    g = white_noise("1d")
+    assert np.isscalar(eval_at_tau(g, 1.1))
+    u = solve_implicit_tau(g, 0.0)
+    np.testing.assert_array_equal(u, g)
+    assert not np.shares_memory(u, g)

@@ -55,6 +55,7 @@ def test_config_mistakes_exit_2(tmp_path, capsys):
     assert main(["run", str(tmp_path / "missing.cfg")]) == 2
     assert main(["run", cfg, "--set", "bogus"]) == 2
     assert main(["run", cfg, "--set", "nope=1"]) == 2
+    assert main(["run", cfg, "--tension", "nope"]) == 2
     incomplete = tmp_path / "half.cfg"
     incomplete.write_text("epsilon = 0.5\n")
     assert main(["run", str(incomplete)]) == 2

@@ -1,12 +1,14 @@
 """Two-scale stepper: stencils, predictor/corrector, init data, readout.
 
 The stencils are compared against np.pad based reimplementations, the
-non-stiff limit against a standalone classical two-step Lax-Wendroff, and
+non-stiff limit against a standalone classical two-step Lax-Wendroff, whole
+steps against a reference built from FFTs of the state, and
 the one-step accuracy by Richardson extrapolation.
 """
 
 import numpy as np
 import pytest
+from test_averaging import derivative_symbol, fourier_tau, resolvent_symbol
 
 from vlasov_ap import averaging
 from vlasov_ap.domain import PhaseGrid, TorusGrid, initial_distribution
@@ -34,6 +36,12 @@ def pad_flux(e1, e2, f, dxi):
     return (da + db) / (2 * dxi)
 
 
+def pad_average(f):
+    """Four-point average via np.pad."""
+    p = np.pad(f, [(0, 0)] * (f.ndim - 2) + [(1, 1), (1, 1)])
+    return 0.25 * (p[..., 2:, 1:-1] + p[..., :-2, 1:-1] + p[..., 1:-1, 2:] + p[..., 1:-1, :-2])
+
+
 def test_flux_rotation_field_on_constant():
     grid = PhaseGrid(16)
     x1, x2 = grid.mesh()
@@ -57,6 +65,11 @@ def test_flux_against_pad_oracle():
     e2 = rng.standard_normal((4, 8, 8))
     f = rng.standard_normal((4, 8, 8))
     np.testing.assert_allclose(flux(e1, e2, f, 0.5), pad_flux(e1, e2, f, 0.5), atol=1e-14)
+    # a field sampled once on (n, n) against a tau-dependent, non-contiguous state
+    f = rng.standard_normal((8, 5, 8)).transpose(1, 0, 2)
+    phi = flux(e1[0], e2[0], f, 0.5)
+    assert phi.shape == (5, 8, 8)
+    np.testing.assert_allclose(phi, pad_flux(e1[0], e2[0], f, 0.5), atol=1e-14)
 
 
 def test_four_point_average():
@@ -70,10 +83,9 @@ def test_four_point_average():
     np.testing.assert_allclose(four_point_average(x1)[1:-1, 1:-1], x1[1:-1, 1:-1], atol=1e-14)
     rng = np.random.default_rng(13)
     r = rng.standard_normal((3, 8, 8))
-    padded = np.pad(r, [(0, 0), (1, 1), (1, 1)])
-    want = 0.25 * (padded[:, 2:, 1:-1] + padded[:, :-2, 1:-1]
-                   + padded[:, 1:-1, 2:] + padded[:, 1:-1, :-2])
-    np.testing.assert_allclose(four_point_average(r), want, atol=1e-15)
+    np.testing.assert_allclose(four_point_average(r), pad_average(r), atol=1e-15)
+    r = rng.standard_normal((8, 3, 8)).transpose(1, 0, 2)
+    np.testing.assert_allclose(four_point_average(r), pad_average(r), atol=1e-15)
 
 
 def test_step_half_trivial_cases():
@@ -159,6 +171,73 @@ def test_split_steps_match_unsplit():
         g, h = split_step_full(g, h, gh, hh, e1, e2, eps, dt, grid.delta_xi)
         np.testing.assert_allclose(g + h, f, atol=1e-12)
         np.testing.assert_allclose(averaging.project_mean(h), 0.0, atol=1e-12)
+
+
+def fft_derivative(g):
+    return fourier_tau(g, derivative_symbol(g.shape[0]))
+
+
+def fft_resolvent(rhs, lam):
+    return fourier_tau(rhs, resolvent_symbol(rhs.shape[0], lam))
+
+
+def reference_advance(solver, f, dt):
+    """APSolver.advance rebuilt from FFTs of the state and padded stencils."""
+    eps, dxi = solver.epsilon, solver.phase.delta_xi
+    lam = dt / (2.0 * eps)
+    e1, e2 = solver.total_field(f)
+    f_half = fft_resolvent(pad_average(f) - 0.5 * dt * pad_flux(e1, e2, f, dxi), lam)
+    e1, e2 = solver.total_field(f_half)
+    rhs = f - dt * pad_flux(e1, e2, f_half, dxi) - lam * fft_derivative(f)
+    return fft_resolvent(rhs, lam)
+
+
+def reference_diffusion_step(solver, g, h, dt):
+    """DiffusionSolver.step rebuilt the same way."""
+    eps, dxi = solver.epsilon, solver.phase.delta_xi
+    e1, e2 = solver.applied
+    lam = dt / (2.0 * eps ** 2)
+    c = dt / (2.0 * eps)
+
+    def fluct(x):
+        return x - x.mean(axis=0)
+
+    g_half = pad_average(g) - c * pad_flux(e1, e2, h, dxi).mean(axis=0)
+    h_half = fft_resolvent(pad_average(h) - c * fluct(pad_flux(e1, e2, g_half[None] + h, dxi)), lam)
+    g_new = g - 2.0 * c * pad_flux(e1, e2, h_half, dxi).mean(axis=0)
+    rhs = (h - 2.0 * c * fluct(pad_flux(e1, e2, 0.5 * (g_new + g)[None] + h_half, dxi))
+           - lam * fft_derivative(h))
+    return g_new, fft_resolvent(rhs, lam)
+
+
+def assert_rel_close(got, want, rtol=1e-12):
+    assert np.abs(got - want).max() <= rtol * np.abs(want).max()
+
+
+@pytest.mark.parametrize("mode", ["linear", "poisson"])
+def test_advance_matches_fft_reference(mode):
+    grid = PhaseGrid(32)
+    torus = TorusGrid(16)
+    solver = APSolver(grid, torus, get_tension("cos2sq"), 0.25, mode=mode)
+    f = ref = solver.initial_state("corrected")
+    dt = 0.5 * solver.suggest_dt(f)
+    for _ in range(4):
+        f = solver.advance(f, dt)
+        ref = reference_advance(solver, ref, dt)
+        assert_rel_close(f, ref)
+
+
+def test_diffusion_step_matches_fft_reference():
+    grid = PhaseGrid(32)
+    torus = TorusGrid(16)
+    solver = DiffusionSolver(grid, torus, get_tension("cos4"), 0.1)
+    g, h = solver.initial_split("corrected")
+    g_ref, h_ref = g, h
+    for _ in range(4):
+        g, h = solver.step(g, h, 0.01)
+        g_ref, h_ref = reference_diffusion_step(solver, g_ref, h_ref, 0.01)
+        assert_rel_close(g, g_ref)
+        assert_rel_close(h, h_ref)
 
 
 def test_advance_local_error_third_order():
