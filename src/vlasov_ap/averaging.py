@@ -19,9 +19,10 @@ node, and the resolvent acts on it by the real part of 1/(1 + i*lam*k_max),
 which is what the exact nodal solution gives for a cos(k_max * tau) source.
 
 L, L^{-1} and the resolvent are real circulant n_tau x n_tau matrices on the
-nodes, and evaluation at one angle is a weight vector.  Each is built on
-every call by applying its Fourier formula to the identity, and the data
-then gets one matrix product over all pencils at once.  The product costs n_tau**2 flops per pencil
+nodes, and evaluation at one angle is row 0 of the shift by that angle.  Each
+is built on every call by applying its Fourier symbol, Nyquist rule included,
+to the identity (an odd n_tau raises ValueError), and the data then gets one
+matrix product over all pencils at once.  The product costs n_tau**2 flops per pencil
 against n_tau*log(n_tau) for an rfft/irfft pair of the data, but it runs as
 one BLAS call along the strided tau axis; on one core, at 128 x 128 pencils,
 it stays below the FFT pair up to at least n_tau = 256 (a resolvent solve
@@ -69,15 +70,24 @@ def _check_mean_free(g: np.ndarray):
         )
 
 
+def _nodal_matrix(n: int, symbol: np.ndarray) -> np.ndarray:
+    """Real n x n nodal matrix of the Fourier multiplier symbol[k], k = 0..n/2.
+
+    The symbol's Nyquist entry acts on the cos(k_max * tau) coefficient.
+    Raises ValueError for an odd n, whose top genuine mode has no such rule.
+    """
+    if n % 2:
+        raise ValueError(f"torus grid length must be even, got {n}")
+    return np.fft.irfft(np.fft.rfft(np.eye(n), axis=0) * symbol[:, None], n=n, axis=0)
+
+
 def spectral_derivative(g: np.ndarray) -> np.ndarray:
     """Spectral d/dtau; the Nyquist mode has zero nodal derivative and is dropped."""
     g = np.asarray(g, dtype=float)
     n = g.shape[0]
-    gh = np.fft.rfft(np.eye(n), axis=0)
-    k = np.arange(gh.shape[0])[:, None]
-    gh = gh * (1j * k)
-    gh[-1] = 0.0
-    return _apply_tau(np.fft.irfft(gh, n=n, axis=0), g)
+    symbol = 1j * np.arange(n // 2 + 1)
+    symbol[-1] = 0.0
+    return _apply_tau(_nodal_matrix(n, symbol), g)
 
 
 def invert_derivative(g: np.ndarray) -> np.ndarray:
@@ -88,14 +98,10 @@ def invert_derivative(g: np.ndarray) -> np.ndarray:
     g = np.asarray(g, dtype=float)
     _check_mean_free(g)
     n = g.shape[0]
-    assert n % 2 == 0, "torus grid length must be even"
-    gh = np.fft.rfft(np.eye(n), axis=0)
-    out = np.zeros_like(gh)
-    k = np.arange(1, gh.shape[0] - 1)[:, None]
-    out[1:-1] = gh[1:-1] / (1j * k)
-    # Nyquist: the mean-free primitive of cos(k_max tau) vanishes at the nodes
-    out[-1] = 0.0
-    return _apply_tau(np.fft.irfft(out, n=n, axis=0), g)
+    symbol = np.zeros(n // 2 + 1, dtype=complex)
+    symbol[1:-1] = 1.0 / (1j * np.arange(1, n // 2))
+    # Nyquist stays 0: the mean-free primitive of cos(k_max tau) vanishes at the nodes
+    return _apply_tau(_nodal_matrix(n, symbol), g)
 
 
 def antiderivative_from_zero(g: np.ndarray) -> np.ndarray:
@@ -113,17 +119,12 @@ def solve_implicit_tau(rhs: np.ndarray, lam: float) -> np.ndarray:
     lam -> infinity.  lam = 0 returns an exact copy of rhs.
     """
     rhs = np.asarray(rhs, dtype=float)
-    n = rhs.shape[0]
-    assert n % 2 == 0, "torus grid length must be even"
     if lam == 0.0:
         return rhs.copy()
-    rh = np.fft.rfft(np.eye(n), axis=0)
-    k = np.arange(rh.shape[0])[:, None]
-    out = rh / (1.0 + 1j * lam * k)
+    symbol = 1.0 / (1.0 + 1j * lam * np.arange(rhs.shape[0] // 2 + 1))
     # Nyquist carries cos(k_max tau): the nodal-exact symbol is Re 1/(1+i lam k)
-    kmax = n // 2
-    out[-1] = rh[-1].real / (1.0 + (lam * kmax) ** 2)
-    return _apply_tau(np.fft.irfft(out, n=n, axis=0), rhs)
+    symbol[-1] = symbol[-1].real
+    return _apply_tau(_nodal_matrix(rhs.shape[0], symbol), rhs)
 
 
 def eval_at_tau(g: np.ndarray, tau_star: float) -> np.ndarray:
@@ -135,10 +136,8 @@ def eval_at_tau(g: np.ndarray, tau_star: float) -> np.ndarray:
     """
     g = np.asarray(g, dtype=float)
     n = g.shape[0]
-    assert n % 2 == 0, "torus grid length must be even"
-    gh = np.fft.rfft(np.eye(n), axis=0)
-    k = np.arange(1, gh.shape[0] - 1)
-    phase = np.exp(1j * k * tau_star)[:, None]
-    val = gh[0].real + 2.0 * (gh[1:-1] * phase).real.sum(axis=0)
-    val = val + gh[-1].real * np.cos((n // 2) * tau_star)
-    return _apply_tau(val[None] / n, g)[0]
+    # row 0 of the shift by tau_star; cos(k_max (tau + tau_star)) is
+    # cos(k_max tau_star) times cos(k_max tau) at the nodes
+    symbol = np.exp(1j * np.arange(n // 2 + 1) * tau_star)
+    symbol[-1] = symbol[-1].real
+    return _apply_tau(_nodal_matrix(n, symbol)[:1], g)[0]

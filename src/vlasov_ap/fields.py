@@ -12,7 +12,11 @@ density computed in the lab frame, rotated back:
     E_f(r) = (1/r) * integral_0^r s rho(s) ds,  r(tau, xi) = xi1 cos tau + xi2 sin tau.
 
 Density and radial integrals live on the same box as the xi grid, reusing it
-as an (r, v) mesh.  Out-of-grid lookups contribute zero; the distribution is
+as an (r, v) mesh.  Around the radial solve the self-field is two linear
+maps, fixed for a run and held by FrameRotator as sparse matrices: state ->
+rho(tau_l, r), and radial profile -> its value at r(tau_l, xi).  All
+interpolation here extends the grid by zero ghost nodes, so a lookup ramps
+to zero within one cell past the outermost nodes; the distribution is
 assumed compactly supported inside the box.
 """
 from __future__ import annotations
@@ -24,6 +28,7 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 from scipy.ndimage import map_coordinates
+from scipy.sparse import csr_matrix
 
 from .domain import PhaseGrid, TorusGrid, rotate_to_rv, rotate_to_xi
 
@@ -126,116 +131,93 @@ def sample_plane(values: np.ndarray, grid: PhaseGrid, x, y, order: int = 1):
     """Sample a single 2D grid function at arbitrary points, zero outside the box.
 
     order=1 is bilinear (the scheme-internal choice); order=3 is a spline used
-    when mapping reference solutions between frames.
+    when mapping reference solutions between frames.  The data are extended
+    by zero ghost nodes, so a point in the half-open last cell, or within one
+    cell below the first node, ramps to zero as in the self-field.
     """
     gx = (np.asarray(x) + grid.xi_max) / grid.delta_xi
     gy = (np.asarray(y) + grid.xi_max) / grid.delta_xi
-    # grid-constant extends the data (not the spline coefficients) by zero
-    mode = "grid-constant" if order > 1 else "constant"
     return map_coordinates(
-        np.asarray(values, dtype=float), [gx, gy], order=order, mode=mode, cval=0.0
+        np.asarray(values, dtype=float), [gx, gy], order=order, mode="grid-constant", cval=0.0
     )
 
 
 class FrameRotator:
-    """Precomputed geometry tying the (r, v) mesh to the xi mesh at every tau node.
+    """The self-field's two linear maps between the xi mesh and the (r, v) mesh.
 
-    The rotation angles and both grids never change during a run, so the
-    bilinear gather indices and weights (with zero extension baked into the
-    weights) are built once.  state_to_rv pushes a two-scale state to the lab
-    frame slice by slice; sample_radial spreads per-slice radial profiles onto
-    the xi mesh at the rotated radius.
+    The rotation angles and both grids never change during a run, so both maps
+    are built once, one tau slice at a time, as CSR matrices with int32 indices:
+
+    to_density, (n_tau*n) x (n_tau*n*n): samples each tau slice of a state
+        bilinearly at the rotated nodes xi = e^{-J tau_l} (r, v) and sums over
+        v with weight delta_xi, giving rho(tau_l, r) for a flattened state;
+    spread, (n_tau*n*n) x (n_tau*n): samples each slice's radial profile
+        linearly at r(tau_l, xi) = xi1 cos tau_l + xi2 sin tau_l.
+
+    Every row holds a fixed number of entries (4n and 2); a bracketing node
+    off the grid is a zero ghost, stored as an explicit zero weight.
     """
 
     def __init__(self, phase: PhaseGrid, torus: TorusGrid):
         self.phase = phase
         self.torus = torus
         n, nt = phase.n_points, torus.n_tau
-        tau = torus.nodes.reshape(-1, 1, 1)
+        if 4 * nt * n * n >= 2 ** 31:
+            raise ValueError("grid too large for int32 operator indices")
         self.cos_tau = np.cos(torus.nodes)
         self.sin_tau = np.sin(torus.nodes)
 
-        r_mesh, v_mesh = phase.mesh()
-        x1, x2 = rotate_to_xi(tau, r_mesh[None], v_mesh[None])
-        self._bil_idx, self._bil_w = _bilinear_gather(phase, x1, x2, slice_offset=n * n)
-
-        xi1_mesh, xi2_mesh = phase.mesh()
-        r_of_xi, _ = rotate_to_rv(tau, xi1_mesh[None], xi2_mesh[None])
-        self._rad_idx, self._rad_w = _linear_gather(phase, r_of_xi, slice_offset=n)
-
-    def state_to_rv(self, state: np.ndarray) -> np.ndarray:
-        """f(tau_l, r, v) = F(tau_l, xi(r, v)) for all slices, shape (n_tau, n, n)."""
-        flat = np.ascontiguousarray(state).reshape(-1)
-        out = np.zeros(self._bil_idx.shape[1:])
-        for q in range(4):
-            out += self._bil_w[q] * flat.take(self._bil_idx[q])
-        return out
-
-    def sample_radial(self, profiles: np.ndarray) -> np.ndarray:
-        """E(tau_l, r(tau_l, xi_ij)) from per-slice radial profiles of shape (n_tau, n)."""
-        flat = np.ascontiguousarray(profiles).reshape(-1)
-        return self._rad_w[0] * flat.take(self._rad_idx[0]) + self._rad_w[1] * flat.take(
-            self._rad_idx[1]
-        )
+        # density rows (l, r) run over (v, corner in xi1, corner in xi2)
+        dens_idx = np.empty((nt, n, n, 2, 2), dtype=np.int32)
+        dens_w = np.empty((nt, n, n, 2, 2))
+        spread_idx = np.empty((nt, n, n, 2), dtype=np.int32)
+        spread_w = np.empty((nt, n, n, 2))
+        a, b = phase.mesh()  # (r, v) for the density, (xi1, xi2) for the spread
+        for l, tau in enumerate(torus.nodes):
+            x1, x2 = rotate_to_xi(tau, a, b)
+            i1, w1 = _linear_weights(phase, x1)
+            i2, w2 = _linear_weights(phase, x2)
+            dens_idx[l] = l * n * n + n * i1[..., :, None] + i2[..., None, :]
+            dens_w[l] = phase.delta_xi * w1[..., :, None] * w2[..., None, :]
+            k, w = _linear_weights(phase, rotate_to_rv(tau, a, b)[0])
+            spread_idx[l] = l * n + k
+            spread_w[l] = w
+        self.to_density = _fixed_row_csr(dens_idx.reshape(nt * n, -1), dens_w, nt * n * n)
+        self.spread = _fixed_row_csr(spread_idx.reshape(nt * n * n, -1), spread_w, nt * n)
 
 
-def _bilinear_gather(grid, x, y, slice_offset):
-    """Corner indices and weights for per-slice bilinear sampling on (n_tau, n, n) points."""
-    n = grid.n_points
-    gx = (x + grid.xi_max) / grid.delta_xi
-    gy = (y + grid.xi_max) / grid.delta_xi
-    i0 = np.floor(gx).astype(np.int64)
-    j0 = np.floor(gy).astype(np.int64)
-    fx = gx - i0
-    fy = gy - j0
-    base = slice_offset * np.arange(x.shape[0]).reshape(-1, 1, 1)
-    idx = np.empty((4,) + x.shape, dtype=np.int64)
-    w = np.empty((4,) + x.shape)
-    for q, (di, dj, wq) in enumerate(
-        (
-            (0, 0, (1 - fx) * (1 - fy)),
-            (1, 0, fx * (1 - fy)),
-            (0, 1, (1 - fx) * fy),
-            (1, 1, fx * fy),
-        )
-    ):
-        ii = i0 + di
-        jj = j0 + dj
-        inside = (ii >= 0) & (ii < n) & (jj >= 0) & (jj < n)
-        idx[q] = np.where(inside, base + ii * n + jj, 0)
-        w[q] = np.where(inside, wq, 0.0)
-    return idx, w
+def _linear_weights(grid: PhaseGrid, x: np.ndarray):
+    """The two grid nodes bracketing each x and their linear weights, shape x.shape + (2,).
+
+    A bracketing node off the grid is a zero ghost: weight 0, index clipped to 0.
+    """
+    g = (x + grid.xi_max) / grid.delta_xi
+    k0 = np.floor(g)
+    frac = g - k0
+    k = k0[..., None] + np.array([0.0, 1.0])
+    w = np.stack([1.0 - frac, frac], axis=-1)
+    inside = (k >= 0) & (k < grid.n_points)
+    return np.where(inside, k, 0).astype(np.int32), np.where(inside, w, 0.0)
 
 
-def _linear_gather(grid, x, slice_offset):
-    """Node indices and weights for per-slice 1D linear sampling, zero off the grid."""
-    n = grid.n_points
-    gx = (x + grid.xi_max) / grid.delta_xi
-    k0 = np.floor(gx).astype(np.int64)
-    fx = gx - k0
-    base = slice_offset * np.arange(x.shape[0]).reshape(-1, 1, 1)
-    idx = np.empty((2,) + x.shape, dtype=np.int64)
-    w = np.empty((2,) + x.shape)
-    for q, (dk, wq) in enumerate(((0, 1 - fx), (1, fx))):
-        kk = k0 + dk
-        inside = (kk >= 0) & (kk < n)
-        idx[q] = np.where(inside, base + kk, 0)
-        w[q] = np.where(inside, wq, 0.0)
-    return idx, w
+def _fixed_row_csr(idx: np.ndarray, w: np.ndarray, n_cols: int) -> csr_matrix:
+    """CSR matrix whose row i holds the weights w[i] at columns idx[i], sharing their memory."""
+    rows, per_row = idx.shape
+    indptr = np.arange(0, rows * per_row + 1, per_row, dtype=np.int32)
+    return csr_matrix((w.reshape(-1), idx.reshape(-1), indptr), shape=(rows, n_cols))
 
 
 def self_field(state: np.ndarray, rotator: FrameRotator):
     """Self-consistent field on the (tau, xi) grid from a two-scale state.
 
-    Returns the pair (e1, e2), each of shape (n_tau, n, n).  Per slice: rotate
-    the state to the lab frame, integrate the density, solve the radial
-    Poisson problem, then spread the radial field back along (-sin, cos).
+    Returns the pair (e1, e2), each of shape (n_tau, n, n): the lab-frame
+    density of every slice, its radial Poisson field, spread back onto the xi
+    mesh along (-sin tau, cos tau).
     """
-    phase = rotator.phase
-    f_rv = rotator.state_to_rv(state)
-    rho = density(f_rv, phase.delta_xi)
-    e_rad = radial_field(rho, phase)
-    e_at = rotator.sample_radial(e_rad)
+    nt, n = rotator.torus.n_tau, rotator.phase.n_points
+    rho = (rotator.to_density @ np.ravel(state)).reshape(nt, n)
+    e_rad = radial_field(rho, rotator.phase)
+    e_at = (rotator.spread @ e_rad.reshape(-1)).reshape(nt, n, n)
     e1 = -rotator.sin_tau[:, None, None] * e_at
     e2 = rotator.cos_tau[:, None, None] * e_at
     return e1, e2

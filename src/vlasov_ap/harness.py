@@ -91,6 +91,12 @@ class RunConfig:
             raise ValueError("epsilon must be positive and t_final nonnegative")
         if self.delta_t is not None and self.delta_t <= 0:
             raise ValueError("delta_t must be positive when given")
+        for name in ("cfl_safety", "reference_dt_factor"):
+            v = getattr(self, name)
+            if not 0 < v < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {v}")
+        if self.rms_every < 1:
+            raise ValueError(f"rms_every must be at least 1, got {self.rms_every}")
         # powers of two keep the FFTs honest
         for name in ("n_points", "n_tau"):
             v = getattr(self, name)
@@ -366,7 +372,7 @@ def run(config: RunConfig, write: bool = True) -> RunResult:
     state, dt_hint, advance, observe = _SCHEME_SETUPS[config.scheme](config)
     n_steps, dt = _resolve_steps(config, dt_hint)
     snaps = _snapshot_steps(config, dt, n_steps)
-    every = max(1, config.rms_every)
+    every = config.rms_every
     result = RunResult(config, dt, n_steps, output_dir=Path(config.output_dir))
     grid = config.phase()
     warned = False

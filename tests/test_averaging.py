@@ -254,3 +254,12 @@ def test_operator_edge_cases():
     u = solve_implicit_tau(g, 0.0)
     np.testing.assert_array_equal(u, g)
     assert not np.shares_memory(u, g)
+
+
+def test_operators_reject_odd_length():
+    # at n = 5 cos(2 tau) is a genuine top mode; no Nyquist rule applies to it
+    g = np.cos(2 * (2 * np.pi / 5) * np.arange(5))
+    for op in (spectral_derivative, invert_derivative,
+               lambda x: solve_implicit_tau(x, 0.9), lambda x: eval_at_tau(x, 0.3)):
+        with pytest.raises(ValueError, match="even"):
+            op(g)

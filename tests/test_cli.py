@@ -56,6 +56,9 @@ def test_config_mistakes_exit_2(tmp_path, capsys):
     assert main(["run", cfg, "--set", "bogus"]) == 2
     assert main(["run", cfg, "--set", "nope=1"]) == 2
     assert main(["run", cfg, "--tension", "nope"]) == 2
+    for bad in ("cfl_safety=-1", "cfl_safety=0", "cfl_safety=inf", "cfl_safety=nan",
+                "reference_dt_factor=-0.1", "reference_dt_factor=0", "rms_every=0"):
+        assert main(["run", cfg, "--set", bad]) == 2, bad
     incomplete = tmp_path / "half.cfg"
     incomplete.write_text("epsilon = 0.5\n")
     assert main(["run", str(incomplete)]) == 2

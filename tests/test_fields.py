@@ -4,6 +4,8 @@ The self-field pipeline is checked against a deliberately slow nested-loop
 reimplementation of the same quadratures.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from vlasov_ap.fields import (
     get_tension,
     radial_field,
     sample_applied_field,
+    sample_plane,
     self_field,
 )
 
@@ -133,6 +136,16 @@ def test_radial_field_warns_on_asymmetry():
         radial_field(rho, grid)
 
 
+def test_sample_plane_ramps_to_zero_ghosts():
+    # nodes -4..3: a point in the half-open last cell, or one cell below the
+    # first node, sees the zero ghost at distance 1, as the self-field does
+    grid = PhaseGrid(8)
+    x = np.array([3.5, -4.5, -5.0, 4.0, 3.0, -4.0])
+    np.testing.assert_array_equal(
+        sample_plane(np.ones((8, 8)), grid, x, np.zeros(6)), [0.5, 0.5, 0.0, 0.0, 1.0, 1.0]
+    )
+
+
 def _self_field_loops(state, phase, torus):
     """Slow reference: the same density/field/spread pipeline, all loops."""
     n, nt = phase.n_points, torus.n_tau
@@ -200,11 +213,24 @@ def test_self_field_against_loop_oracle():
     rng = np.random.default_rng(11)
     x1, x2 = phase.mesh()
     bump = np.exp(-2.0 * (x1 ** 2 + x2 ** 2))
-    state = bump[None] * (1.0 + 0.3 * rng.random((8, 1, 1)))
-    got1, got2 = self_field(state, rot)
-    want1, want2 = _self_field_loops(state, phase, torus)
-    np.testing.assert_allclose(got1, want1, atol=1e-13)
-    np.testing.assert_allclose(got2, want2, atol=1e-13)
+    # the bump is 1e-14 at the rim; the rim load puts O(1) values in the
+    # outermost cells, where rotated nodes ramp to the zero ghosts
+    rim = np.zeros((16, 16), dtype=bool)
+    rim[[0, -1], :] = rim[:, [0, -1]] = True
+    for state in (bump[None] * (1.0 + 0.3 * rng.random((8, 1, 1))),
+                  rim[None] * rng.uniform(0.5, 1.5, size=(8, 16, 16))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # the rim load is not even in r
+            got1, got2 = self_field(state, rot)
+        want1, want2 = _self_field_loops(state, phase, torus)
+        np.testing.assert_allclose(got1, want1, atol=1e-13)
+        np.testing.assert_allclose(got2, want2, atol=1e-13)
+
+
+def test_frame_rotator_rejects_int32_overflow():
+    # 4 * 32 * 4096**2 operator entries do not fit int32; nothing is allocated
+    with pytest.raises(ValueError, match="int32"):
+        FrameRotator(PhaseGrid(4096), TorusGrid(32))
 
 
 def test_self_field_radial_state():
