@@ -6,7 +6,7 @@ order-eps oscillation that the coarse stepper then samples at effectively
 random phases.  Displacing the profile by the field antiderivative
 ("corrected") removes that layer.  This sweep runs both variants over a
 range of eps at fixed resolution and prints the relative error of the final
-filtered field against the per-eps reference.
+filtered field against the exact linear solution.
 """
 import numpy as np
 
@@ -25,7 +25,6 @@ def main():
                 t_final=np.pi / 16,
                 n_points=64,
                 init=init,
-                reference_dt_factor=0.02,
                 output_dir="runs/sweep",
             )
             res = run(cfg, write=False)

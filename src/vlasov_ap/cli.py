@@ -2,8 +2,8 @@
 
 All commands except selftest take a flat ``key = value`` config file; common
 fields can be overridden with flags, anything else with ``--set key=value``.
-Exit status is 0 on success, 1 on a runtime failure (blow-up, bad reference),
-2 on a configuration mistake.
+Exit status is 0 on success, 1 on a runtime failure (blow-up, bad reference,
+any failed selftest check), 2 on a configuration mistake.
 """
 from __future__ import annotations
 
@@ -88,7 +88,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    return harness.selftest(verbose=not args.quiet)
+    return 1 if harness.selftest(verbose=not args.quiet) else 0
 
 
 def main(argv=None) -> int:
@@ -120,7 +120,9 @@ def main(argv=None) -> int:
     p.add_argument("--reference-cache", help="directory memoizing reference runs")
     p.set_defaults(func=_cmd_table)
 
-    p = sub.add_parser("selftest", help="run the invariant suite")
+    p = sub.add_parser(
+        "selftest", help="run small end-to-end checks against exact references"
+    )
     p.add_argument("--quiet", action="store_true", help="suppress per-check lines")
     p.set_defaults(func=_cmd_selftest)
 

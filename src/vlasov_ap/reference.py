@@ -21,6 +21,7 @@ primitive of the tension, so the only time-scale restriction is accuracy.
 from __future__ import annotations
 
 import numpy as np
+from scipy.integrate import solve_ivp
 
 from . import averaging
 from .domain import PhaseGrid, initial_distribution, rotate_to_rv, rotate_to_xi
@@ -77,6 +78,29 @@ def second_order_solution(t: float, tau: float, xi1, xi2, eps: float, f0_params:
     z1, z2 = _apply_matrix(np.eye(2) - eps * periodic_drift(tau), xi1, xi2)
     y1, y2 = rotate_to_rv(rotation_rate(eps) * t, z1, z2)
     w1, w2 = _apply_matrix(np.eye(2) - eps * constant_drift(), y1, y2)
+    return initial_distribution(w1, w2, **(f0_params or {}))
+
+
+def exact_linear(t: float, eps: float, tension: Tension, xi1, xi2, f0_params: dict | None = None):
+    """Exact filtered solution f~(t, xi) of linear mode, for any tension.
+
+    The characteristics of the unfiltered equation obey the Hill system
+    r' = v/eps, v' = (a(t/eps) - 1/eps) r.  With its fundamental matrix Phi(t),
+    Phi(0) = I, integrated by DOP853 at rtol = atol = 1e-12, f(t, z) =
+    f0(Phi(t)^-1 z) and so f~(t, xi) = f0(Phi(t)^-1 e^{J t/eps} xi).
+    """
+
+    def hill(s, y):
+        p = y.reshape(2, 2)
+        return np.concatenate([p[1] / eps, (tension(s / eps) - 1.0 / eps) * p[0]])
+
+    phi = np.eye(2)
+    if t > 0:
+        sol = solve_ivp(hill, (0.0, t), phi.ravel(), method="DOP853", rtol=1e-12, atol=1e-12)
+        if not sol.success:
+            raise RuntimeError(f"Hill system integration failed: {sol.message}")
+        phi = sol.y[:, -1].reshape(2, 2)
+    w1, w2 = _apply_matrix(np.linalg.inv(phi), *rotate_to_rv(t / eps, xi1, xi2))
     return initial_distribution(w1, w2, **(f0_params or {}))
 
 

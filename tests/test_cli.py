@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import vlasov_ap
+from vlasov_ap import averaging
 from vlasov_ap.cli import main
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -57,8 +58,11 @@ def test_config_mistakes_exit_2(tmp_path, capsys):
     assert main(["run", cfg, "--set", "nope=1"]) == 2
     assert main(["run", cfg, "--tension", "nope"]) == 2
     for bad in ("cfl_safety=-1", "cfl_safety=0", "cfl_safety=inf", "cfl_safety=nan",
-                "reference_dt_factor=-0.1", "reference_dt_factor=0", "rms_every=0"):
+                "reference_dt_factor=-0.1", "reference_dt_factor=0", "rms_every=0",
+                "epsilon=nan", "epsilon=inf", "t_final=inf", "t_final=nan", "delta_t=nan",
+                "xi_max=nan", "alpha=nan", "reference_n=-16"):
         assert main(["run", cfg, "--set", bad]) == 2, bad
+        assert f"error: {bad.split('=')[0]} must be" in capsys.readouterr().err, bad
     incomplete = tmp_path / "half.cfg"
     incomplete.write_text("epsilon = 0.5\n")
     assert main(["run", str(incomplete)]) == 2
@@ -107,6 +111,17 @@ def test_table_smoke(tmp_path, capsys):
 
 def test_selftest_passes():
     assert main(["selftest", "--quiet"]) == 0
+
+
+def test_selftest_exits_1_under_a_broken_operator(monkeypatch, capsys):
+    # a resolvent that returns its input fails two checks, and the status is still 1
+    monkeypatch.setattr(averaging, "solve_implicit_tau", lambda rhs, lam: rhs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the broken runs trip the edge-mass warning
+        assert main(["selftest"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL linear ap vs exact" in out and "FAIL poisson ap mass drift" in out
+    assert "2 of 4 checks passed" in out
 
 
 def _script_target(name):

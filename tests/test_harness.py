@@ -20,7 +20,7 @@ from vlasov_ap.harness import (
     table_study,
     total_mass,
 )
-from vlasov_ap.reference import SplittingSolver, limit_solution
+from vlasov_ap.reference import SplittingSolver, exact_linear, limit_solution
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +133,12 @@ def test_mass_and_boundary_fraction():
     assert boundary_mass_fraction(np.ones((8, 8))) == pytest.approx(0.75)
     assert boundary_mass_fraction(np.ones((8, 8)), cells=1) == pytest.approx(28.0 / 64.0)
     assert boundary_mass_fraction(np.zeros((8, 8))) == 0.0
+    # an empty rim reads exactly 0, never a rounding residue below it
+    rng = np.random.default_rng(4)
+    for _ in range(50):
+        f = np.zeros((16, 16))
+        f[2:-2, 2:-2] = rng.random((12, 12))
+        assert boundary_mass_fraction(f) == 0.0
 
 
 def test_rel_error_norms():
@@ -277,8 +283,10 @@ def test_closed_forms_are_cos2sq_only():
     cfg = RunConfig(epsilon=0.05, t_final=0.02, n_points=32, tension="cos4")
     with pytest.raises(ValueError, match="cos2sq"):
         table_study(cfg, eps_list=(0.05,), write=False)
-    # below eps = 0.1 only cos2sq has the second-order shortcut
-    assert np.array_equal(reference_filtered(cfg), harness._splitting_reference(cfg))
+    # the linear reference is exact for every tension
+    x1, x2 = cfg.phase().mesh()
+    want = exact_linear(cfg.t_final, cfg.epsilon, get_tension("cos4"), x1, x2, cfg.f0_params())
+    assert np.array_equal(reference_filtered(cfg), want)
 
 
 def test_small_box_warns_about_edge_mass(tmp_path):
@@ -292,7 +300,7 @@ def test_ap_and_splitting_agree_at_eps_one(tmp_path):
     cfg = RunConfig(epsilon=1.0, t_final=np.pi / 16, n_points=64,
                     output_dir=str(tmp_path))
     result = run(cfg, write=False)
-    ref = reference_filtered(cfg)
+    ref = harness._splitting_reference(cfg)
     assert rel_error(result.f_tilde, ref, "l2") <= 2e-2
 
 
@@ -383,7 +391,7 @@ def test_convergence_study_outputs(tmp_path):
 def test_reference_cache_is_memoized(tmp_path):
     cache = tmp_path / "cache"
     cfg = RunConfig(epsilon=0.25, t_final=0.1, n_points=32, rms_every=1 << 30,
-                    output_dir=str(tmp_path))
+                    mode="poisson", output_dir=str(tmp_path))
     first = reference_filtered(cfg, cache_dir=str(cache))
     files = sorted(cache.glob("*.npy"))
     assert len(files) == 1
@@ -397,7 +405,7 @@ def test_reference_cache_is_memoized(tmp_path):
 
 def test_reference_cache_replaces_a_truncated_entry(tmp_path, monkeypatch):
     cache = tmp_path / "cache"
-    cfg = RunConfig(epsilon=0.25, t_final=0.1, n_points=32)
+    cfg = RunConfig(epsilon=0.25, t_final=0.1, n_points=32, mode="poisson")
     first = reference_filtered(cfg, cache_dir=str(cache))
     (entry,) = cache.iterdir()
     entry.write_bytes(entry.read_bytes()[: entry.stat().st_size // 2])
@@ -413,6 +421,6 @@ def test_reference_cache_replaces_a_truncated_entry(tmp_path, monkeypatch):
 
 def test_reference_n_must_match_grid(tmp_path):
     cfg = RunConfig(epsilon=0.25, t_final=0.1, n_points=32, reference_n=48,
-                    output_dir=str(tmp_path))
+                    mode="poisson", output_dir=str(tmp_path))
     with pytest.raises(ValueError, match="multiple of n_points"):
         reference_filtered(cfg)

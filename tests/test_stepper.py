@@ -282,6 +282,21 @@ def test_advance_conserves_mass():
     assert abs(mass - mass0) <= 1e-10 * abs(mass0)
 
 
+@pytest.mark.parametrize("mode", ["linear", "poisson"])
+def test_advance_keeps_the_state_even(mode):
+    # f0 and both fields are symmetric under xi -> -xi, so every step is too;
+    # nodes exclude the right edge, so the mirror is a flip plus a roll
+    solver = APSolver(PhaseGrid(32), TorusGrid(32), get_tension("cos2sq"), 0.1, mode=mode)
+    f = solver.initial_state("corrected")
+    dt = solver.suggest_dt(f)
+    for _ in range(5):
+        f = solver.advance(f, dt)
+    mirrored = np.roll(f[:, ::-1, ::-1], (1, 1), axis=(1, 2))
+    # only the unpaired first row and column break the symmetry; measured
+    # 7.7e-12 (linear) and 3.6e-10 (poisson) relative
+    assert np.abs(f - mirrored).max() <= 1e-9 * np.abs(f).max()
+
+
 def test_advance_flags_non_finite():
     grid = PhaseGrid(8)
     torus = TorusGrid(4)
