@@ -23,10 +23,10 @@ Parameter studies (``convergence_study``, ``table_study``) compare runs
 against a reference.  ``convergence_study`` uses ``reference_filtered``: the
 exact linear solution in linear mode, whatever the tension, and a fine
 splitting run in poisson mode.  The error table always uses the fine
-splitting run.  Splitting references can be cached on disk, keyed by every
-input plus REFERENCE_CACHE_VERSION; an entry that fails to load is
-recomputed.  ``selftest`` runs a few small end-to-end checks against the
-same references.
+splitting run.  A splitting reference's dt is shrunk to divide t_final, like
+any run's.  Splitting references can be cached on disk, keyed by every input
+plus REFERENCE_CACHE_VERSION; an entry that fails to load is recomputed.
+``selftest`` runs a few small end-to-end checks against the same references.
 """
 from __future__ import annotations
 
@@ -98,6 +98,8 @@ class RunConfig:
             v = getattr(self, name)
             if not 0 <= v < math.inf:
                 raise ValueError(f"{name} must be nonnegative and finite, got {v}")
+        if self.scheme == "diffusion" and self.mode != "linear":
+            raise ValueError("scheme=diffusion has no self-field; it needs mode=linear")
         if self.rms_every < 1:
             raise ValueError(f"rms_every must be at least 1, got {self.rms_every}")
         # powers of two keep the FFTs honest
@@ -106,6 +108,8 @@ class RunConfig:
             if v & (v - 1):
                 raise ValueError(f"{name} must be a power of two, got {v}")
         self.snapshot_times = tuple(float(t) for t in self.snapshot_times)
+        if not all(math.isfinite(t) for t in self.snapshot_times):
+            raise ValueError(f"snapshot_times must be finite, got {self.snapshot_times}")
 
     def f0_params(self) -> dict:
         return {"alpha": self.alpha, "edge": self.edge, "width": self.width}
@@ -470,9 +474,9 @@ def _write_outputs(result: RunResult):
 # ---------------------------------------------------------------------------
 # references and studies
 
-# bump when a change to the splitting reference alters its numbers, so that
-# cached references from the old code are not reused
-REFERENCE_CACHE_VERSION = 1
+# bump, and re-pin its test, when the splitting reference's numbers change, so
+# that cached references from the old code are not reused
+REFERENCE_CACHE_VERSION = 2
 
 
 def _reference_cache_key(cache_dir, config: RunConfig, n_ref: int) -> Path | None:
@@ -509,8 +513,8 @@ def _splitting_reference(config: RunConfig, cache_dir=None) -> np.ndarray:
             pass  # a damaged entry is recomputed and replaced below
     fine = PhaseGrid(n_ref, config.xi_max)
     solver = _splitting_solver(config, fine)
-    dt_ref = config.reference_dt_factor * min(config.epsilon, 1.0)
-    f_rv = solver.solve(config.t_final, dt_ref)
+    n_steps, dt = _resolve_steps(config, config.reference_dt_factor * min(config.epsilon, 1.0))
+    f_rv = solver.solve(n_steps, dt)
     f_tilde = reference.filtered_from_rv(f_rv, fine, config.t_final, config.epsilon)
     coarse = f_tilde[:: n_ref // config.n_points, :: n_ref // config.n_points]
     if key is not None:
@@ -528,9 +532,9 @@ def reference_filtered(config: RunConfig, cache_dir: str | None = None) -> np.nd
 
     Linear mode has the exact solution ``reference.exact_linear``, for any
     tension.  Poisson mode uses a fine splitting run (reference_n nodes,
-    dt = reference_dt_factor * min(eps, 1)), rotated to the xi frame with
-    cubic sampling, restricted to the coarse grid node-for-node and cached in
-    ``cache_dir`` when one is given.
+    dt = reference_dt_factor * min(eps, 1), shrunk to divide t_final), rotated
+    to the xi frame with cubic sampling, restricted to the coarse grid
+    node-for-node and cached in ``cache_dir`` when one is given.
     """
     if config.mode == "linear":
         x1, x2 = config.phase().mesh()
@@ -538,11 +542,6 @@ def reference_filtered(config: RunConfig, cache_dir: str | None = None) -> np.nd
             config.t_final, config.epsilon, get_tension(config.tension), x1, x2, config.f0_params()
         )
     return _splitting_reference(config, cache_dir)
-
-
-def _study_cell(config: RunConfig):
-    result = run(config, write=False)
-    return result.dt, result.f_tilde
 
 
 def _quiet_cell(config: RunConfig) -> RunConfig:
@@ -568,15 +567,14 @@ def convergence_study(
         for e in eps_list
         for dt in dt_list
     ]
-    outputs = [_study_cell(c) for c in cells]
     refs = {
         float(e): reference_filtered(_quiet_cell(config.replace(epsilon=float(e))), cache_dir)
         for e in eps_list
     }
-    rows = [
-        (cell.epsilon, dt_used, rel_error(f_tilde, refs[cell.epsilon], "l2"))
-        for cell, (dt_used, f_tilde) in zip(cells, outputs)
-    ]
+    rows = []
+    for cell in cells:
+        res = run(cell, write=False)
+        rows.append((cell.epsilon, res.dt, rel_error(res.f_tilde, refs[cell.epsilon], "l2")))
     slopes = []
     for e in eps_list:
         pts = [(dt, err) for eps, dt, err in rows if eps == float(e)]
@@ -659,23 +657,24 @@ def selftest(verbose: bool = True) -> int:
     Small runs at eps = 0.1 and t = 0.5, about 0.4 s in all: a linear ap run
     (64^2 x 16) and a splitting run (64^2) against the exact linear solution in
     relative L2, the relative mass drift of a poisson ap run (32^2 x 16), and
-    the config text round trip.  The bounds are about twice the values a
-    working build measures: 9.4e-3, 5.3e-4 and 4.9e-10.  Returns the number of
-    failed checks.
+    the config text round trip.  A working build measures 9.4e-3, 5.3e-4 and
+    4.9e-10.  The linear ap band is +-10 %, as a flux a few per cent too strong
+    lowers that error; the other bounds are twice the values.  Returns the
+    number of failed checks.
     """
     base = RunConfig(epsilon=0.1, t_final=0.5, n_points=64, n_tau=16)
     checks = [
-        ("linear ap vs exact", _error_vs_exact, base, 2e-2),
-        ("splitting vs exact", _error_vs_exact, base.replace(scheme="splitting"), 1e-3),
-        ("poisson ap mass drift", _mass_drift, base.replace(mode="poisson", n_points=32), 1e-9),
-        ("config round trip", _round_trip_changes, base.replace(delta_t=0.02, snapshot_times=(0.25, 0.5)), 0),
+        ("linear ap vs exact", _error_vs_exact, base, (8.4e-3, 1.03e-2)),
+        ("splitting vs exact", _error_vs_exact, base.replace(scheme="splitting"), (0, 1e-3)),
+        ("poisson ap mass drift", _mass_drift, base.replace(mode="poisson", n_points=32), (0, 1e-9)),
+        ("config round trip", _round_trip_changes, base.replace(delta_t=0.02, snapshot_times=(0.25, 0.5)), (0, 0)),
     ]
     failures = 0
-    for name, measure, config, bound in checks:
+    for name, measure, config, (lo, hi) in checks:
         try:
             value = measure(config)
-            ok = value <= bound
-            detail = f"{value:.3g} (bound {bound:g})"
+            ok = lo <= value <= hi
+            detail = f"{value:.3g} (band [{lo:g}, {hi:g}])"
         except Exception as exc:  # a broken build may fail anywhere; report it as this check
             ok = False
             detail = f"{type(exc).__name__}: {exc}"

@@ -28,11 +28,9 @@ from vlasov_ap.harness import (
     total_mass,
 )
 from vlasov_ap.reference import (
-    SplittingSolver,
     constant_drift,
     drift_coupling_matrix,
     effective_hamiltonian,
-    filtered_from_rv,
     limit_solution,
     periodic_drift,
     rotation_rate,
@@ -285,7 +283,6 @@ def test_criterion_6_model_orders_in_eps():
     t0 = time.monotonic()
     grid = PhaseGrid(64)
     x1, x2 = grid.mesh()
-    tension = get_tension("cos2sq")
     t_final = 2 * np.pi
     n_samp = 314
     dt_samp = t_final / n_samp
@@ -295,17 +292,14 @@ def test_criterion_6_model_orders_in_eps():
     for eps in eps_list:
         # equal-error reference steps, dt_ref ~ eps^1.5, from the drift law
         m = int(np.ceil(dt_samp / (0.015 * eps ** 1.5)))
-        solver = SplittingSolver(grid, eps, tension, mode="linear")
-        times, r_ref, r_lim, r_so = [], [], [], []
-        for t, f in solver.run(t_final, dt_samp / m, sample_every=m):
-            times.append(t)
-            r_ref.append(rms(filtered_from_rv(f, grid, t, eps), grid))
-            r_lim.append(rms(limit_solution(t, x1, x2), grid))
-            r_so.append(rms(second_order_solution(t, t / eps, x1, x2, eps), grid))
-        times = np.asarray(times)
-        r_ref = np.asarray(r_ref)
-        errs_limit.append(np.trapezoid(np.abs(np.asarray(r_lim) - r_ref), times))
-        errs_second.append(np.trapezoid(np.abs(np.asarray(r_so) - r_ref), times))
+        ref = run(RunConfig(epsilon=eps, t_final=t_final, n_points=64, scheme="splitting",
+                            delta_t=dt_samp / m, rms_every=m), write=False)
+        times = np.asarray(ref.times)
+        r_ref = np.asarray(ref.rms_series)
+        r_lim = np.asarray([rms(limit_solution(t, x1, x2), grid) for t in times])
+        r_so = np.asarray([rms(second_order_solution(t, t / eps, x1, x2, eps), grid) for t in times])
+        errs_limit.append(np.trapezoid(np.abs(r_lim - r_ref), times))
+        errs_second.append(np.trapezoid(np.abs(r_so - r_ref), times))
 
     le = np.log(eps_list)
     slope_limit = np.polyfit(le, np.log(errs_limit), 1)[0]

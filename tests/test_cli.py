@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import vlasov_ap
-from vlasov_ap import averaging
+from vlasov_ap import averaging, stepper
 from vlasov_ap.cli import main
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -60,12 +60,16 @@ def test_config_mistakes_exit_2(tmp_path, capsys):
     for bad in ("cfl_safety=-1", "cfl_safety=0", "cfl_safety=inf", "cfl_safety=nan",
                 "reference_dt_factor=-0.1", "reference_dt_factor=0", "rms_every=0",
                 "epsilon=nan", "epsilon=inf", "t_final=inf", "t_final=nan", "delta_t=nan",
-                "xi_max=nan", "alpha=nan", "reference_n=-16"):
+                "xi_max=nan", "alpha=nan", "reference_n=-16", "snapshot_times=nan",
+                "snapshot_times=inf", "snapshot_times=-inf"):
         assert main(["run", cfg, "--set", bad]) == 2, bad
         assert f"error: {bad.split('=')[0]} must be" in capsys.readouterr().err, bad
     incomplete = tmp_path / "half.cfg"
     incomplete.write_text("epsilon = 0.5\n")
     assert main(["run", str(incomplete)]) == 2
+    # the micro-macro stepper has no self-field
+    assert main(["run", cfg, "--scheme", "diffusion", "--tension", "cos4", "--mode", "poisson"]) == 2
+    assert "error: scheme=diffusion" in capsys.readouterr().err
     # the closed forms exist for tension cos2sq only
     assert main(["run", cfg, "--scheme", "limit", "--tension", "cos4"]) == 2
     assert main(["table", cfg, "--tension", "cos4", "--eps", "0.5"]) == 2
@@ -122,6 +126,13 @@ def test_selftest_exits_1_under_a_broken_operator(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "FAIL linear ap vs exact" in out and "FAIL poisson ap mass drift" in out
     assert "2 of 4 checks passed" in out
+    # a flux 5 % too strong lowers the linear ap error (6.8e-3 against 9.4e-3),
+    # so only the lower edge of that check's band catches it
+    monkeypatch.undo()
+    flux = stepper.flux
+    monkeypatch.setattr(stepper, "flux", lambda *args: 1.05 * flux(*args))
+    assert main(["selftest"]) == 1
+    assert "FAIL linear ap vs exact" in capsys.readouterr().out
 
 
 def _script_target(name):

@@ -362,8 +362,9 @@ def test_splitting_error_grows_as_eps_shrinks():
     errs = []
     for eps in (0.1, 0.05):
         solver = SplittingSolver(grid, eps, get_tension("cos2sq"))
-        coarse = solver.solve(t_end, dt)
-        ref = solver.solve(t_end, dt / 64.0)
+        # the step counts round(t_end / dt) and round(t_end * 64 / dt)
+        coarse = solver.solve(79, t_end / 79)
+        ref = solver.solve(5027, t_end / 5027)
         errs.append(np.abs(coarse - ref).max())
     ratio = errs[1] / errs[0]
     assert 3.0 < ratio < 5.0, errs
@@ -417,6 +418,28 @@ def test_reference_cache_replaces_a_truncated_entry(tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "REFERENCE_CACHE_VERSION", harness.REFERENCE_CACHE_VERSION + 1)
     reference_filtered(cfg, cache_dir=str(cache))
     assert len(list(cache.iterdir())) == 2
+
+
+# ref.sum() and (x1**2 * ref).sum() of the tiny reference below, per
+# REFERENCE_CACHE_VERSION; t_final / dt_ref = 4.4 there, so the step-count
+# rule shows in the numbers
+PINNED_REFERENCE_SUMS = {2: (38.46565183633641, 18.852477376124114)}
+
+
+@pytest.mark.filterwarnings("ignore:density is not even")  # 32 nodes barely resolve the edge
+def test_reference_numbers_match_the_cache_version():
+    cfg = RunConfig(epsilon=0.5, t_final=0.11, n_points=16, reference_n=32, mode="poisson")
+    ref = harness._splitting_reference(cfg)
+    x1, _ = cfg.phase().mesh()
+    version = harness.REFERENCE_CACHE_VERSION
+    sums = (float(ref.sum()), float((x1 ** 2 * ref).sum()))
+    assert version in PINNED_REFERENCE_SUMS, (
+        f"no pinned sums for REFERENCE_CACHE_VERSION {version}; pin {sums} for it"
+    )
+    np.testing.assert_allclose(
+        sums, PINNED_REFERENCE_SUMS[version], rtol=1e-10,
+        err_msg="the splitting reference changed: bump REFERENCE_CACHE_VERSION and pin its sums",
+    )
 
 
 def test_reference_n_must_match_grid(tmp_path):
