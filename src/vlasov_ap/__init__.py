@@ -11,7 +11,6 @@ from .averaging import (
     eval_at_tau,
     fluctuation,
     invert_derivative,
-    micro_macro_split,
     project_mean,
     solve_implicit_tau,
     spectral_derivative,
@@ -77,7 +76,6 @@ __all__ = [
     "initial_distribution",
     "invert_derivative",
     "limit_solution",
-    "micro_macro_split",
     "project_mean",
     "radial_field",
     "rel_error",

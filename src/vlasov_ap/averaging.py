@@ -49,13 +49,6 @@ def fluctuation(g: np.ndarray) -> np.ndarray:
     return g - g.mean(axis=0, keepdims=True)
 
 
-def micro_macro_split(g: np.ndarray):
-    """Return (Pi g, (I - Pi) g); the two parts sum back to g exactly."""
-    g = np.asarray(g)
-    mean = g.mean(axis=0)
-    return mean, g - mean[None]
-
-
 def _apply_tau(m: np.ndarray, g: np.ndarray) -> np.ndarray:
     """m @ g along axis 0, for every pencil of g at once."""
     return (m @ g.reshape(g.shape[0], -1)).reshape(m.shape[:1] + g.shape[1:])

@@ -1,22 +1,18 @@
 """Command line front end: run, converge, table, selftest.
 
-All commands except selftest take a flat ``key = value`` config file; common
-fields can be overridden with flags, anything else with ``--set key=value``.
-Exit status is 0 on success, 1 on a runtime failure (blow-up, bad reference,
-any failed selftest check), 2 on a configuration mistake.
+All commands except selftest take a flat ``key = value`` config file; any
+entry can be overridden with ``--set key=value``, repeated as needed.  Exit
+status is 0 on success, 1 on a runtime failure (blow-up, bad reference, any
+failed selftest check), 2 on a configuration mistake.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from . import harness
 from .errors import StabilityFailure
-
-OVERRIDE_FLAGS = (
-    "epsilon", "t_final", "delta_t", "scheme", "init", "mode",
-    "tension", "n_points", "output_dir",
-)
 
 
 def _floats(text: str) -> list[float]:
@@ -25,26 +21,18 @@ def _floats(text: str) -> list[float]:
 
 def _add_config_arguments(p: argparse.ArgumentParser):
     p.add_argument("config", help="flat key = value config file")
-    p.add_argument("--epsilon", type=float, help="override epsilon")
-    p.add_argument("--t-final", dest="t_final", type=float, help="override t_final")
-    p.add_argument("--delta-t", dest="delta_t", type=float, help="override delta_t")
-    p.add_argument("--scheme", choices=harness.SCHEMES, help="override scheme")
-    p.add_argument("--init", choices=("corrected", "plain"), help="override init")
-    p.add_argument("--mode", choices=("linear", "poisson"), help="override mode")
-    p.add_argument("--tension", help="override tension")
-    p.add_argument("--n-points", dest="n_points", type=int, help="override n_points")
-    p.add_argument("--output-dir", dest="output_dir", help="override output_dir")
+    keys = ", ".join(f.name for f in dataclasses.fields(harness.RunConfig))
     p.add_argument(
         "--set",
         action="append",
         default=[],
         metavar="KEY=VALUE",
-        help="override any other config entry",
+        help=f"override a config entry; keys: {keys}",
     )
 
 
 def _load_config(args) -> harness.RunConfig:
-    overrides = {name: getattr(args, name) for name in OVERRIDE_FLAGS}
+    overrides = {}
     for item in args.set:
         if "=" not in item:
             raise ValueError(f"--set expects key=value, got {item!r}")

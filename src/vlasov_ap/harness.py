@@ -41,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from . import averaging, reference, stepper
-from .domain import PhaseGrid, TorusGrid
+from .domain import PhaseGrid, TorusGrid, rotate_to_xi
 from .errors import StabilityFailure, ZeroReference
 from .fields import TENSIONS, get_tension
 
@@ -153,18 +153,18 @@ class RunConfig:
 
 
 def _parse_value(key: str, value):
-    if not isinstance(value, str):
+    if not isinstance(value, str) or key in ("scheme", "init", "mode", "tension", "output_dir"):
         return value
-    if key in ("n_points", "n_tau", "rms_every", "reference_n"):
-        return int(value)
-    if key in ("scheme", "init", "mode", "tension", "output_dir"):
-        return value
-    if key == "snapshot_times":
-        parts = [p for p in value.replace(",", " ").split() if p]
-        return tuple(float(p) for p in parts)
     if key == "delta_t" and value.lower() in ("", "none", "auto"):
         return None
-    return float(value)
+    integer = key in ("n_points", "n_tau", "rms_every", "reference_n")
+    try:
+        if key == "snapshot_times":
+            return tuple(float(p) for p in value.replace(",", " ").split())
+        return int(value) if integer else float(value)
+    except ValueError:
+        kind = "an integer" if integer else "numeric"
+        raise ValueError(f"{key} must be {kind}, got {value!r}") from None
 
 
 def format_config(config: RunConfig) -> str:
@@ -346,11 +346,8 @@ def _model_scheme(config: RunConfig):
     eps = config.epsilon
 
     def observe(_, t):
-        if config.scheme == "limit":
-            f_tilde = reference.limit_solution(t, x1, x2, f0p)
-        else:
-            f_tilde = reference.second_order_solution(t, (t / eps) % (2 * np.pi), x1, x2, eps, f0p)
-        f_rv = reference.model_lab_frame(config.scheme, t, eps, x1, x2, f0p)
+        f_tilde = reference.model_solution(config.scheme, t, eps, x1, x2, f0p)
+        f_rv = reference.model_solution(config.scheme, t, eps, *rotate_to_xi(t / eps, x1, x2), f0p)
         return f_tilde, f_rv, total_mass(f_tilde, grid)
 
     dt_hint = config.delta_t or (config.t_final / 256.0 or 1.0)
@@ -476,7 +473,7 @@ def _write_outputs(result: RunResult):
 
 # bump, and re-pin its test, when the splitting reference's numbers change, so
 # that cached references from the old code are not reused
-REFERENCE_CACHE_VERSION = 2
+REFERENCE_CACHE_VERSION = 3
 
 
 def _reference_cache_key(cache_dir, config: RunConfig, n_ref: int) -> Path | None:
@@ -611,17 +608,11 @@ def table_study(config: RunConfig, eps_list=TABLE_EPSILONS, cache_dir: str | Non
         # the table reference is always the fine splitting run, whatever eps
         ref = _splitting_reference(cfg, cache_dir)
         ap_field = run(cfg, write=False).f_tilde
-        tau = (cfg.t_final / e) % (2 * np.pi)
-        second = reference.second_order_solution(cfg.t_final, tau, x1, x2, e, cfg.f0_params())
-        limit = reference.limit_solution(cfg.t_final, x1, x2, cfg.f0_params())
-        rows.append(
-            (
-                e,
-                rel_error(ap_field, ref, "linf"),
-                rel_error(second, ref, "linf"),
-                rel_error(limit, ref, "linf"),
-            )
+        models = (
+            reference.model_solution(m, cfg.t_final, e, x1, x2, cfg.f0_params())
+            for m in ("second_order", "limit")
         )
+        rows.append((e, *(rel_error(f, ref, "linf") for f in (ap_field, *models))))
     if write:
         out = Path(config.output_dir)
         out.mkdir(parents=True, exist_ok=True)

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from . import averaging
-from .domain import PhaseGrid, initial_distribution, rotate_to_rv, rotate_to_xi
+from .domain import PhaseGrid, initial_distribution, rotate_to_rv
 from .fields import Tension, applied_field, density, radial_field, sample_plane
 
 LIMIT_ROTATION_RATE = 0.25
@@ -104,14 +104,15 @@ def exact_linear(t: float, eps: float, tension: Tension, xi1, xi2, f0_params: di
     return initial_distribution(w1, w2, **(f0_params or {}))
 
 
-def model_lab_frame(model: str, t: float, eps: float, r, v, f0_params: dict | None = None):
-    """Evaluate a closed-form model in the lab frame f(t, r, v); no interpolation."""
-    theta = t / eps
-    x1, x2 = rotate_to_xi(theta, r, v)
+def model_solution(model: str, t: float, eps: float, xi1, xi2, f0_params: dict | None = None):
+    """Filtered field f~(t, xi) of the closed-form model "limit" or "second_order".
+
+    The lab-frame field f(t, r, v) is this function at xi = rotate_to_xi(t/eps, r, v).
+    """
     if model == "limit":
-        return limit_solution(t, x1, x2, f0_params)
+        return limit_solution(t, xi1, xi2, f0_params)
     if model == "second_order":
-        return second_order_solution(t, theta % (2 * np.pi), x1, x2, eps, f0_params)
+        return second_order_solution(t, (t / eps) % (2 * np.pi), xi1, xi2, eps, f0_params)
     raise ValueError(f"unknown model {model!r}")
 
 
@@ -184,6 +185,9 @@ class SplittingSolver:
         if phase is None:
             shift = self.v * (0.5 * half_steps * dt / self.epsilon)
             phase = np.exp(-1j * np.outer(self.k, shift))  # (n_k, n_v)
+            # irfft keeps only the real part of the Nyquist bin, so a shifted
+            # Nyquist mode would not compose; dropping it makes drifts add exactly
+            phase[-1] = 0.0
             self._drift_phase[(half_steps, dt)] = phase
         fh = np.fft.rfft(f, axis=0)
         return np.fft.irfft(fh * phase, n=f.shape[0], axis=0)

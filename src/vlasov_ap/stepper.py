@@ -78,29 +78,6 @@ def step_full(f, f_half, e1_half, e2_half, eps: float, dt: float, delta_xi: floa
     return averaging.solve_implicit_tau(rhs, lam)
 
 
-def split_step_half(g, h, e1, e2, eps: float, dt: float, delta_xi: float):
-    """Predictor for the mean/fluctuation pair (g, h).
-
-    Algebraically identical to step_half on g + h followed by a re-split:
-    the resolvent is the identity on tau-means, so the mean block needs no
-    implicit solve.  g carries no tau axis.
-    """
-    lam = dt / (2.0 * eps)
-    phi = flux(e1, e2, g[None] + h, delta_xi)
-    g_half = four_point_average(g) - 0.5 * dt * averaging.project_mean(phi)
-    rhs = four_point_average(h) - 0.5 * dt * averaging.fluctuation(phi)
-    return g_half, averaging.solve_implicit_tau(rhs, lam)
-
-
-def split_step_full(g, h, g_half, h_half, e1_half, e2_half, eps: float, dt: float, delta_xi: float):
-    """Corrector for the mean/fluctuation pair; mirrors step_full block by block."""
-    lam = dt / (2.0 * eps)
-    phi = flux(e1_half, e2_half, g_half[None] + h_half, delta_xi)
-    g_new = g - dt * averaging.project_mean(phi)
-    rhs = h - dt * averaging.fluctuation(phi) - lam * averaging.spectral_derivative(h)
-    return g_new, averaging.solve_implicit_tau(rhs, lam)
-
-
 def cfl_dt(e1: np.ndarray, e2: np.ndarray, delta_xi: float, safety: float = 1.0) -> float:
     """Advective time step dt = safety * delta_xi / max |E|, frozen at start-up."""
     emax = max(np.abs(e1).max(), np.abs(e2).max())
@@ -235,7 +212,8 @@ class DiffusionSolver:
 
     def initial_split(self, init: str = "corrected"):
         """(G0, h0) from the same well-prepared data as the transport solver."""
-        return averaging.micro_macro_split(self.transport.initial_state(init))
+        f = self.transport.initial_state(init)
+        return averaging.project_mean(f), averaging.fluctuation(f)
 
     def readout(self, g: np.ndarray, h: np.ndarray, t: float):
         """Filtered and lab-frame fields at time t; tau runs at t/eps^2 on this scale."""

@@ -13,7 +13,6 @@ from vlasov_ap.averaging import (
     eval_at_tau,
     fluctuation,
     invert_derivative,
-    micro_macro_split,
     project_mean,
     solve_implicit_tau,
     spectral_derivative,
@@ -169,13 +168,13 @@ def test_eval_at_tau_band_limited_exact():
 def test_micro_macro_split():
     rng = np.random.default_rng(9)
     f = rng.standard_normal((16, 8, 8))
-    g, h = micro_macro_split(f)
+    g, h = project_mean(f), fluctuation(f)
     assert g.shape == (8, 8)
     np.testing.assert_allclose(g + h, f, atol=1e-15)
     np.testing.assert_allclose(project_mean(h), 0.0, atol=1e-14)
     # tau-independent input has no fluctuation
     const = np.broadcast_to(f[0], (16, 8, 8)).copy()
-    g2, h2 = micro_macro_split(const)
+    g2, h2 = project_mean(const), fluctuation(const)
     np.testing.assert_allclose(g2, f[0], atol=1e-15)
     np.testing.assert_allclose(h2, 0.0, atol=1e-14)
 

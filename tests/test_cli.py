@@ -1,5 +1,6 @@
 import os
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -10,10 +11,11 @@ import numpy as np
 import pytest
 
 import vlasov_ap
-from vlasov_ap import averaging, stepper
+from vlasov_ap import averaging, cli, stepper
 from vlasov_ap.cli import main
 
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+ROOT = Path(__file__).resolve().parents[1]
+PYPROJECT = ROOT / "pyproject.toml"
 
 
 def write_config(path, **kw):
@@ -33,14 +35,18 @@ def test_run_writes_outputs(tmp_path, capsys):
     assert (tmp_path / "out" / "meta.txt").exists()
 
 
-def test_run_flag_overrides(tmp_path, capsys):
+def test_run_overrides_only_through_set(tmp_path, capsys):
     cfg = write_config(tmp_path / "run.cfg", output_dir=tmp_path / "a")
-    code = main(["run", cfg, "--scheme", "limit", "--t-final", "0",
-                 "--output-dir", str(tmp_path / "b")])
+    code = main(["run", cfg, "--set", "scheme=limit", "--set", "t_final=0",
+                 "--set", f"output_dir={tmp_path / 'b'}"])
     assert code == 0
     meta = (tmp_path / "b" / "meta.txt").read_text()
     assert "scheme = limit" in meta and "n_steps = 0" in meta
     assert not (tmp_path / "a").exists()
+    # there are no per-key flags
+    with pytest.raises(SystemExit) as exc:
+        main(["run", cfg, "--epsilon", "0.1"])
+    assert exc.value.code == 2
 
 
 def test_set_overrides(tmp_path):
@@ -51,35 +57,61 @@ def test_set_overrides(tmp_path):
     assert rows.shape[0] == 3
 
 
+def _readme_commands():
+    """The ``vlasov-ap`` lines of README's Command line block, continuations joined."""
+    text = (ROOT / "README.md").read_text()
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    commands = section.replace("\\\n", " ").splitlines()
+    return [shlex.split(c)[1:] for c in commands if c.strip().startswith("vlasov-ap ")]
+
+
+def test_readme_commands_parse(monkeypatch):
+    commands = _readme_commands()
+    assert len(commands) >= 4
+    monkeypatch.chdir(ROOT)
+
+    def load_only(args):
+        if "config" in vars(args):
+            cli._load_config(args)
+        return 0
+
+    for name in ("_cmd_run", "_cmd_converge", "_cmd_table", "_cmd_selftest"):
+        monkeypatch.setattr(cli, name, load_only)
+    for argv in commands:
+        assert main(argv) == 0, argv
+
+
 def test_config_mistakes_exit_2(tmp_path, capsys):
     cfg = write_config(tmp_path / "run.cfg", output_dir=tmp_path / "out")
     assert main(["run", str(tmp_path / "missing.cfg")]) == 2
     assert main(["run", cfg, "--set", "bogus"]) == 2
     assert main(["run", cfg, "--set", "nope=1"]) == 2
-    assert main(["run", cfg, "--tension", "nope"]) == 2
+    assert main(["run", cfg, "--set", "tension=nope"]) == 2
     for bad in ("cfl_safety=-1", "cfl_safety=0", "cfl_safety=inf", "cfl_safety=nan",
                 "reference_dt_factor=-0.1", "reference_dt_factor=0", "rms_every=0",
                 "epsilon=nan", "epsilon=inf", "t_final=inf", "t_final=nan", "delta_t=nan",
                 "xi_max=nan", "alpha=nan", "reference_n=-16", "snapshot_times=nan",
-                "snapshot_times=inf", "snapshot_times=-inf"):
+                "snapshot_times=inf", "snapshot_times=-inf", "epsilon=abc", "n_points=1.5",
+                "rms_every=x"):
         assert main(["run", cfg, "--set", bad]) == 2, bad
         assert f"error: {bad.split('=')[0]} must be" in capsys.readouterr().err, bad
     incomplete = tmp_path / "half.cfg"
     incomplete.write_text("epsilon = 0.5\n")
     assert main(["run", str(incomplete)]) == 2
     # the micro-macro stepper has no self-field
-    assert main(["run", cfg, "--scheme", "diffusion", "--tension", "cos4", "--mode", "poisson"]) == 2
+    assert main(["run", cfg, "--set", "scheme=diffusion", "--set", "tension=cos4",
+                 "--set", "mode=poisson"]) == 2
     assert "error: scheme=diffusion" in capsys.readouterr().err
     # the closed forms exist for tension cos2sq only
-    assert main(["run", cfg, "--scheme", "limit", "--tension", "cos4"]) == 2
-    assert main(["table", cfg, "--tension", "cos4", "--eps", "0.5"]) == 2
+    assert main(["run", cfg, "--set", "scheme=limit", "--set", "tension=cos4"]) == 2
+    assert main(["table", cfg, "--set", "tension=cos4", "--eps", "0.5"]) == 2
     assert "error:" in capsys.readouterr().err
 
 
 def test_diffusion_needs_explicit_step(tmp_path, capsys):
     cfg = write_config(tmp_path / "run.cfg", delta_t=None, tension="cos4",
                        output_dir=tmp_path / "out")
-    assert main(["run", cfg, "--scheme", "diffusion"]) == 2
+    assert main(["run", cfg, "--set", "scheme=diffusion"]) == 2
     assert "delta_t" in capsys.readouterr().err
 
 

@@ -423,7 +423,7 @@ def test_reference_cache_replaces_a_truncated_entry(tmp_path, monkeypatch):
 # ref.sum() and (x1**2 * ref).sum() of the tiny reference below, per
 # REFERENCE_CACHE_VERSION; t_final / dt_ref = 4.4 there, so the step-count
 # rule shows in the numbers
-PINNED_REFERENCE_SUMS = {2: (38.46565183633641, 18.852477376124114)}
+PINNED_REFERENCE_SUMS = {3: (38.42188051005197, 18.590930632683246)}
 
 
 @pytest.mark.filterwarnings("ignore:density is not even")  # 32 nodes barely resolve the edge

@@ -12,7 +12,7 @@ from vlasov_ap.reference import (
     exact_linear,
     filtered_from_rv,
     limit_solution,
-    model_lab_frame,
+    model_solution,
     periodic_drift,
     rotation_rate,
     second_order_solution,
@@ -110,14 +110,18 @@ def test_drift_coupling_matrix_cross_check():
             assert m[0, 1] == pytest.approx(float(d), abs=1e-12)
 
 
-def test_model_lab_frame():
+def test_model_solution():
     grid = PhaseGrid(32)
     r, v = grid.mesh()
     f0 = initial_distribution(r, v)
     # frames coincide at t = 0
-    np.testing.assert_allclose(model_lab_frame("limit", 0.0, 0.1, r, v), f0, atol=1e-15)
+    lab = model_solution("limit", 0.0, 0.1, *rotate_to_xi(0.0, r, v))
+    np.testing.assert_allclose(lab, f0, atol=1e-15)
     with pytest.raises(ValueError):
-        model_lab_frame("cubic", 1.0, 0.1, r, v)
+        model_solution("cubic", 1.0, 0.1, r, v)
+    t, eps = 1.3, 0.07
+    want = second_order_solution(t, (t / eps) % (2 * np.pi), r, v, eps, {"alpha": 0.3})
+    assert np.array_equal(model_solution("second_order", t, eps, r, v, {"alpha": 0.3}), want)
 
 
 def test_splitting_harmonic_rotation():
@@ -159,7 +163,7 @@ def test_splitting_matches_second_order_model():
     solver = SplittingSolver(grid, eps, get_tension("cos2sq"), "linear")
     f = solver.solve(125664, 2.0 * np.pi / 125664)  # dt near 5e-5
     r, v = grid.mesh()
-    model = model_lab_frame("second_order", 2.0 * np.pi, eps, r, v)
+    model = model_solution("second_order", 2.0 * np.pi, eps, *rotate_to_xi(2.0 * np.pi / eps, r, v))
     rel = np.abs(f - model).max() / np.abs(model).max()
     assert rel <= 1e-3, rel
 
@@ -201,23 +205,13 @@ def _fused_and_single_steps(n_points):
     return f0, solver.advance(f0, 0, 0, dt), solver.advance(f0, 0, 3, dt), single
 
 
-def test_splitting_advance_fuses_half_drifts():
-    # fusing two half drifts into one full drift is exact up to the Nyquist
-    # mode of the r transform, which the beam leaves empty at 128 nodes
-    # (2e-16 of the spectrum); 3.3e-15 measured
-    f0, no_steps, fused, single = _fused_and_single_steps(128)
+@pytest.mark.parametrize("n_points", [32, 128])
+def test_splitting_advance_fuses_half_drifts(n_points):
+    # the drift drops the Nyquist mode of the r transform, so two half drifts
+    # compose to one full drift even where the beam fills that mode (2e-3 of
+    # the r spectrum at 32 nodes); 2.7e-15 and 3.6e-15 measured
+    f0, no_steps, fused, single = _fused_and_single_steps(n_points)
     np.testing.assert_array_equal(no_steps, f0)
-    np.testing.assert_allclose(fused, single, atol=1e-13)
-
-
-@pytest.mark.xfail(
-    strict=True,
-    reason="irfft drops the imaginary part of the Nyquist coefficient, so two half "
-    "drifts scale it by cos(a)^2 and one full drift by cos(2a); at 32 nodes the beam "
-    "puts 2e-3 of its r spectrum there and the fused state differs by 1.2e-4",
-)
-def test_splitting_fused_drift_matches_single_steps_on_a_coarse_grid():
-    _, _, fused, single = _fused_and_single_steps(32)
     np.testing.assert_allclose(fused, single, atol=1e-13)
 
 

@@ -20,8 +20,6 @@ from vlasov_ap.stepper import (
     cfl_dt,
     flux,
     four_point_average,
-    split_step_full,
-    split_step_half,
     step_full,
     step_half,
 )
@@ -153,24 +151,6 @@ def test_step_full_reduces_to_classical_lw():
     for l in range(8):
         want = lw_two_step(f[l], e1[l], e2[l], e1[l], e2[l], dt, grid.delta_xi)
         np.testing.assert_allclose(out[l], want, atol=1e-13)
-
-
-def test_split_steps_match_unsplit():
-    grid = PhaseGrid(32)
-    torus = TorusGrid(16)
-    tension = get_tension("cos2sq")
-    e1, e2 = sample_applied_field(tension, torus, grid)
-    solver = APSolver(grid, torus, tension, 0.1)
-    f = solver.initial_state("corrected")
-    g, h = averaging.micro_macro_split(f)
-    eps, dt = 0.1, 0.02
-    for _ in range(3):
-        fh = step_half(f, e1, e2, eps, dt, grid.delta_xi)
-        f = step_full(f, fh, e1, e2, eps, dt, grid.delta_xi)
-        gh, hh = split_step_half(g, h, e1, e2, eps, dt, grid.delta_xi)
-        g, h = split_step_full(g, h, gh, hh, e1, e2, eps, dt, grid.delta_xi)
-        np.testing.assert_allclose(g + h, f, atol=1e-12)
-        np.testing.assert_allclose(averaging.project_mean(h), 0.0, atol=1e-12)
 
 
 def fft_derivative(g):
