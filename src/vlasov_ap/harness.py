@@ -23,9 +23,10 @@ Parameter studies (``convergence_study``, ``table_study``) compare runs
 against a reference.  ``convergence_study`` uses ``reference_filtered``: the
 exact linear solution in linear mode, whatever the tension, and a fine
 splitting run in poisson mode.  The error table always uses the fine
-splitting run.  A splitting reference's dt is shrunk to divide t_final, like
-any run's.  Splitting references can be cached on disk, keyed by every input
-plus REFERENCE_CACHE_VERSION; an entry that fails to load is recomputed.
+splitting run.  A splitting reference is a quiet ``splitting`` run of this
+loop on the fine grid, built from only the inputs that change its numbers.
+It can be cached on disk, keyed by that run's config plus
+REFERENCE_CACHE_VERSION; an entry that fails to load is recomputed.
 ``selftest`` runs a few small end-to-end checks against the same references.
 """
 from __future__ import annotations
@@ -68,7 +69,6 @@ class RunConfig:
     mode: str = "linear"  # linear | poisson
     tension: str = "cos2sq"
     delta_t: float | None = None  # explicit step; otherwise CFL at t = 0
-    cfl_safety: float = 1.0
     output_dir: str = "out"
     snapshot_times: tuple[float, ...] = ()
     rms_every: int = 1
@@ -76,7 +76,7 @@ class RunConfig:
     edge: float = 1.2
     width: float = 0.3
     reference_dt_factor: float = 0.05  # dt_ref = factor * min(eps, 1)
-    reference_n: int = 0  # 0 means 2 * n_points
+    reference_n: int = 0  # 0 means 2 * n_points; else n_points times a power of two
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -87,7 +87,7 @@ class RunConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.tension not in TENSIONS:
             raise ValueError(f"unknown tension {self.tension!r}; expected one of {sorted(TENSIONS)}")
-        positive = ["epsilon", "xi_max", "alpha", "width", "cfl_safety", "reference_dt_factor"]
+        positive = ["epsilon", "xi_max", "alpha", "width", "reference_dt_factor"]
         if self.delta_t is not None:
             positive.append("delta_t")
         for name in positive:
@@ -107,6 +107,13 @@ class RunConfig:
             v = getattr(self, name)
             if v & (v - 1):
                 raise ValueError(f"{name} must be a power of two, got {v}")
+        # the reference is a run on reference_n nodes restricted node for node
+        ratio, rest = divmod(self.reference_n, self.n_points)
+        if rest or ratio & (ratio - 1):
+            raise ValueError(
+                f"reference_n must be 0 or a power-of-two multiple of n_points "
+                f"({self.n_points}), got {self.reference_n}"
+            )
         self.snapshot_times = tuple(float(t) for t in self.snapshot_times)
         if not all(math.isfinite(t) for t in self.snapshot_times):
             raise ValueError(f"snapshot_times must be finite, got {self.snapshot_times}")
@@ -289,7 +296,7 @@ def _ap_scheme(config: RunConfig):
         f0_params=config.f0_params(),
     )
     state = solver.initial_state(config.init)
-    dt_hint = config.delta_t or solver.suggest_dt(state, config.cfl_safety)
+    dt_hint = config.delta_t or solver.suggest_dt(state)
 
     def observe(state, t):
         mass = total_mass(averaging.project_mean(state), solver.phase)
@@ -317,25 +324,21 @@ def _diffusion_scheme(config: RunConfig):
     return solver.initial_split(config.init), config.delta_t, advance, observe
 
 
-def _splitting_solver(config: RunConfig, grid: PhaseGrid) -> reference.SplittingSolver:
-    return reference.SplittingSolver(
-        grid,
+def _splitting_scheme(config: RunConfig):
+    solver = reference.SplittingSolver(
+        config.phase(),
         config.epsilon,
         get_tension(config.tension),
         mode=config.mode,
         f0_params=config.f0_params(),
     )
-
-
-def _splitting_scheme(config: RunConfig):
-    solver = _splitting_solver(config, config.phase())
     dt_hint = config.delta_t or config.reference_dt_factor * min(config.epsilon, 1.0)
 
     def observe(f_rv, t):
         f_tilde = reference.filtered_from_rv(f_rv, solver.phase, t, config.epsilon)
         return f_tilde, f_rv, total_mass(f_rv, solver.phase)
 
-    return solver.initial_state(), dt_hint, solver.advance, observe
+    return solver.initial_state(), dt_hint, solver.solve, observe
 
 
 def _model_scheme(config: RunConfig):
@@ -370,8 +373,9 @@ def run(config: RunConfig, write: bool = True) -> RunResult:
     k0 to step k1 and an observation (f~, f_rv, mass) at time t; this loop
     alone decides where to observe.  It observes step 0, every rms_every-th
     step, the last step and every snapshot step, and only at those steps, so
-    the splitting scheme fuses its half drifts everywhere else.  Snapshot
-    files are written whether or not ``write`` is set.
+    the splitting scheme fuses its half drifts everywhere else; each span
+    between two observed steps is one advance call.  Snapshot files are
+    written whether or not ``write`` is set.
     """
     state, dt_hint, advance, observe = _SCHEME_SETUPS[config.scheme](config)
     n_steps, dt = _resolve_steps(config, dt_hint)
@@ -382,7 +386,8 @@ def run(config: RunConfig, write: bool = True) -> RunResult:
     warned = False
     k0 = 0
     for k in sorted({0, n_steps, *range(0, n_steps, every), *snaps}):
-        state = advance(state, k0, k, dt)
+        if k > k0:
+            state = advance(state, k0, k, dt)
         k0 = k
         t = k * dt
         f_tilde, f_rv, mass = observe(state, t)
@@ -430,16 +435,17 @@ def _snapshot_steps(config: RunConfig, dt: float, n_steps: int) -> set[int]:
 # ---------------------------------------------------------------------------
 # output files
 
-def _atomic_savetxt(path: Path, rows, header: str):
+def _replace_file(path: Path, write):
+    """Make path by write(binary handle) on a temp file renamed into place."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    np.savetxt(tmp, rows, fmt=FMT, delimiter=",", header=header, comments="")
+    with open(tmp, "wb") as fh:
+        write(fh)
     os.replace(tmp, path)
 
 
-def _ensure_dir(result: RunResult) -> Path:
-    out = result.output_dir
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _atomic_savetxt(path: Path, rows, header: str):
+    _replace_file(path, lambda fh: np.savetxt(fh, rows, fmt=FMT, delimiter=",", header=header, comments=""))
 
 
 def _snapshot_name(t: float) -> str:
@@ -447,14 +453,13 @@ def _snapshot_name(t: float) -> str:
 
 
 def _write_snapshot(result, t, f_tilde, f_rv, grid):
-    out = _ensure_dir(result)
     x1, x2 = grid.mesh()
     rows = np.column_stack([x1.ravel(), x2.ravel(), f_tilde.ravel(), f_rv.ravel()])
-    _atomic_savetxt(out / _snapshot_name(t), rows, "xi1,xi2,f_tilde,f_rv")
+    _atomic_savetxt(result.output_dir / _snapshot_name(t), rows, "xi1,xi2,f_tilde,f_rv")
 
 
 def _write_outputs(result: RunResult):
-    out = _ensure_dir(result)
+    out = result.output_dir
     rows = np.array(
         [[r.time, r.rms, r.mass, r.boundary_mass_fraction] for r in result.records]
     )
@@ -463,9 +468,7 @@ def _write_outputs(result: RunResult):
     meta += f"dt_actual = {FMT % result.dt}\n"
     meta += f"n_steps = {result.n_steps}\n"
     meta += f"max_negative_part = {FMT % result.max_negative}\n"
-    tmp = out / "meta.txt.tmp"
-    tmp.write_text(meta)
-    os.replace(tmp, out / "meta.txt")
+    _replace_file(out / "meta.txt", lambda fh: fh.write(meta.encode()))
 
 
 # ---------------------------------------------------------------------------
@@ -476,51 +479,38 @@ def _write_outputs(result: RunResult):
 REFERENCE_CACHE_VERSION = 3
 
 
-def _reference_cache_key(cache_dir, config: RunConfig, n_ref: int) -> Path | None:
-    if not cache_dir:
-        return None
-    blob = repr(
-        (
-            "splitting-ref",
-            REFERENCE_CACHE_VERSION,
-            config.mode,
-            config.tension,
-            config.epsilon,
-            config.t_final,
-            config.xi_max,
-            n_ref,
-            config.reference_dt_factor,
-            config.n_points,
-            sorted(config.f0_params().items()),
-        )
-    ).encode()
-    return Path(cache_dir) / (hashlib.sha256(blob).hexdigest()[:24] + ".npy")
-
-
 def _splitting_reference(config: RunConfig, cache_dir=None) -> np.ndarray:
-    """Fine splitting run mapped to the xi frame and restricted to the coarse grid."""
-    n_ref = config.reference_n or 2 * config.n_points
-    if n_ref % config.n_points:
-        raise ValueError("reference_n must be a multiple of n_points")
-    key = _reference_cache_key(cache_dir, config, n_ref)
-    if key is not None and key.exists():
-        try:
-            return np.load(key)
-        except (OSError, ValueError, EOFError):
-            pass  # a damaged entry is recomputed and replaced below
-    fine = PhaseGrid(n_ref, config.xi_max)
-    solver = _splitting_solver(config, fine)
-    n_steps, dt = _resolve_steps(config, config.reference_dt_factor * min(config.epsilon, 1.0))
-    f_rv = solver.solve(n_steps, dt)
-    f_tilde = reference.filtered_from_rv(f_rv, fine, config.t_final, config.epsilon)
-    coarse = f_tilde[:: n_ref // config.n_points, :: n_ref // config.n_points]
-    if key is not None:
-        key.parent.mkdir(parents=True, exist_ok=True)
-        # np.save appends .npy to a bare name, so write through a handle
-        tmp = key.with_name(key.name + ".tmp")
-        with open(tmp, "wb") as fh:
-            np.save(fh, coarse)
-        os.replace(tmp, key)
+    """Quiet splitting run on the fine grid, restricted to the config's grid.
+
+    The reference's config holds only the inputs that change its numbers, so
+    its cache key, the sha256 of that config's text, the coarse n_points and
+    REFERENCE_CACHE_VERSION, cannot drift from the run it names.
+    """
+    ref = RunConfig(
+        epsilon=config.epsilon,
+        t_final=config.t_final,
+        n_points=config.reference_n or 2 * config.n_points,
+        xi_max=config.xi_max,
+        scheme="splitting",
+        mode=config.mode,
+        tension=config.tension,
+        rms_every=1 << 30,
+        reference_dt_factor=config.reference_dt_factor,
+        **config.f0_params(),
+    )
+    path = None
+    if cache_dir:
+        blob = f"{REFERENCE_CACHE_VERSION}\n{config.n_points}\n{format_config(ref)}".encode()
+        path = Path(cache_dir) / (hashlib.sha256(blob).hexdigest()[:24] + ".npy")
+        if path.exists():
+            try:
+                return np.load(path)
+            except (OSError, ValueError, EOFError):
+                pass  # a damaged entry is recomputed and replaced below
+    stride = ref.n_points // config.n_points
+    coarse = run(ref, write=False).f_tilde[::stride, ::stride]
+    if path is not None:
+        _replace_file(path, lambda fh: np.save(fh, coarse))
     return coarse
 
 
@@ -528,15 +518,18 @@ def reference_filtered(config: RunConfig, cache_dir: str | None = None) -> np.nd
     """Filtered reference field at t_final on the config's grid.
 
     Linear mode has the exact solution ``reference.exact_linear``, for any
-    tension.  Poisson mode uses a fine splitting run (reference_n nodes,
-    dt = reference_dt_factor * min(eps, 1), shrunk to divide t_final), rotated
-    to the xi frame with cubic sampling, restricted to the coarse grid
-    node-for-node and cached in ``cache_dir`` when one is given.
+    tension.  Poisson mode uses a fine splitting run (reference_n nodes, the
+    splitting scheme's own dt rule), rotated to the xi frame with cubic
+    sampling, restricted to the coarse grid node-for-node and cached in
+    ``cache_dir`` when one is given.
     """
     if config.mode == "linear":
+        # the diffusion scheme runs 1/eps faster than the standard problem
+        # (its tau is t/eps^2), so its time t is the standard problem's t/eps
+        t = config.t_final / config.epsilon if config.scheme == "diffusion" else config.t_final
         x1, x2 = config.phase().mesh()
         return reference.exact_linear(
-            config.t_final, config.epsilon, get_tension(config.tension), x1, x2, config.f0_params()
+            t, config.epsilon, get_tension(config.tension), x1, x2, config.f0_params()
         )
     return _splitting_reference(config, cache_dir)
 
@@ -564,10 +557,7 @@ def convergence_study(
         for e in eps_list
         for dt in dt_list
     ]
-    refs = {
-        float(e): reference_filtered(_quiet_cell(config.replace(epsilon=float(e))), cache_dir)
-        for e in eps_list
-    }
+    refs = {float(e): reference_filtered(config.replace(epsilon=float(e)), cache_dir) for e in eps_list}
     rows = []
     for cell in cells:
         res = run(cell, write=False)
@@ -581,7 +571,6 @@ def convergence_study(
             slopes.append((float(e), float(np.polyfit(x, y, 1)[0])))
     if write:
         out = Path(config.output_dir)
-        out.mkdir(parents=True, exist_ok=True)
         _atomic_savetxt(out / "convergence.csv", np.array(rows), "epsilon,dt,error")
         if slopes:
             _atomic_savetxt(out / "slopes.csv", np.array(slopes), "epsilon,slope")
@@ -595,29 +584,22 @@ def table_study(config: RunConfig, eps_list=TABLE_EPSILONS, cache_dir: str | Non
     """Relative Linf errors of ap, second-order and limit fields vs fine splitting.
 
     Reproduces the headline accuracy table; rows are
-    (eps, err_ap, err_second_order, err_limit) at t_final.  The model columns
-    are closed forms for tension cos2sq, so any other tension is rejected.
+    (eps, err_ap, err_second_order, err_limit) at t_final, each column a quiet
+    run of that scheme scored against one splitting reference per eps.  The
+    model columns are closed forms for tension cos2sq, so any other tension
+    is rejected.
     """
-    grid = config.phase()
-    x1, x2 = grid.mesh()
     rows = []
     for e in eps_list:
-        e = float(e)
-        cfg = _quiet_cell(config.replace(epsilon=e, scheme="ap", mode="linear"))
+        cfg = _quiet_cell(config.replace(epsilon=float(e), mode="linear"))
         _closed_form_only(cfg, "table_study")
         # the table reference is always the fine splitting run, whatever eps
         ref = _splitting_reference(cfg, cache_dir)
-        ap_field = run(cfg, write=False).f_tilde
-        models = (
-            reference.model_solution(m, cfg.t_final, e, x1, x2, cfg.f0_params())
-            for m in ("second_order", "limit")
-        )
-        rows.append((e, *(rel_error(f, ref, "linf") for f in (ap_field, *models))))
+        runs = (run(cfg.replace(scheme=s), write=False) for s in ("ap", "second_order", "limit"))
+        rows.append((cfg.epsilon, *(rel_error(r.f_tilde, ref, "linf") for r in runs)))
     if write:
-        out = Path(config.output_dir)
-        out.mkdir(parents=True, exist_ok=True)
         _atomic_savetxt(
-            out / "table.csv",
+            Path(config.output_dir) / "table.csv",
             np.array(rows),
             "epsilon,err_ap,err_second_order,err_limit",
         )

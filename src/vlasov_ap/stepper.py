@@ -78,12 +78,12 @@ def step_full(f, f_half, e1_half, e2_half, eps: float, dt: float, delta_xi: floa
     return averaging.solve_implicit_tau(rhs, lam)
 
 
-def cfl_dt(e1: np.ndarray, e2: np.ndarray, delta_xi: float, safety: float = 1.0) -> float:
-    """Advective time step dt = safety * delta_xi / max |E|, frozen at start-up."""
+def cfl_dt(e1: np.ndarray, e2: np.ndarray, delta_xi: float) -> float:
+    """Advective time step dt = delta_xi / max |E|, frozen at start-up."""
     emax = max(np.abs(e1).max(), np.abs(e2).max())
     if emax == 0.0:
         raise ZeroField("advecting field vanishes; provide delta_t explicitly")
-    return safety * delta_xi / emax
+    return delta_xi / emax
 
 
 class APSolver:
@@ -158,9 +158,9 @@ class APSolver:
             raise StabilityFailure("non-finite values in the state; reduce dt")
         return out
 
-    def suggest_dt(self, state: np.ndarray, safety: float = 1.0) -> float:
+    def suggest_dt(self, state: np.ndarray) -> float:
         e1, e2 = self.total_field(state)
-        return cfl_dt(e1, e2, self.phase.delta_xi, safety)
+        return cfl_dt(e1, e2, self.phase.delta_xi)
 
     def readout(self, state: np.ndarray, t: float):
         """Physical fields at time t: filtered f~(t, xi) and lab-frame f(t, r, v).

@@ -87,12 +87,14 @@ def test_config_mistakes_exit_2(tmp_path, capsys):
     assert main(["run", cfg, "--set", "bogus"]) == 2
     assert main(["run", cfg, "--set", "nope=1"]) == 2
     assert main(["run", cfg, "--set", "tension=nope"]) == 2
-    for bad in ("cfl_safety=-1", "cfl_safety=0", "cfl_safety=inf", "cfl_safety=nan",
-                "reference_dt_factor=-0.1", "reference_dt_factor=0", "rms_every=0",
+    # the CFL step has no safety factor to set
+    assert main(["run", cfg, "--set", "cfl_safety=1"]) == 2
+    assert "unknown config key" in capsys.readouterr().err
+    for bad in ("reference_dt_factor=-0.1", "reference_dt_factor=0", "rms_every=0",
                 "epsilon=nan", "epsilon=inf", "t_final=inf", "t_final=nan", "delta_t=nan",
-                "xi_max=nan", "alpha=nan", "reference_n=-16", "snapshot_times=nan",
-                "snapshot_times=inf", "snapshot_times=-inf", "epsilon=abc", "n_points=1.5",
-                "rms_every=x"):
+                "xi_max=nan", "alpha=nan", "reference_n=-16", "reference_n=48",
+                "snapshot_times=nan", "snapshot_times=inf", "snapshot_times=-inf",
+                "epsilon=abc", "n_points=1.5", "rms_every=x"):
         assert main(["run", cfg, "--set", bad]) == 2, bad
         assert f"error: {bad.split('=')[0]} must be" in capsys.readouterr().err, bad
     incomplete = tmp_path / "half.cfg"

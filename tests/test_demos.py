@@ -1,0 +1,19 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+
+
+def test_there_are_demos():
+    assert DEMOS
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
+def test_demo_imports_and_defines_main(path):
+    # importing runs nothing but the imports, so a removed name fails here
+    spec = importlib.util.spec_from_file_location(f"demo_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert callable(module.main)

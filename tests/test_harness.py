@@ -363,8 +363,9 @@ def test_splitting_error_grows_as_eps_shrinks():
     for eps in (0.1, 0.05):
         solver = SplittingSolver(grid, eps, get_tension("cos2sq"))
         # the step counts round(t_end / dt) and round(t_end * 64 / dt)
-        coarse = solver.solve(79, t_end / 79)
-        ref = solver.solve(5027, t_end / 5027)
+        f0 = solver.initial_state()
+        coarse = solver.solve(f0, 0, 79, t_end / 79)
+        ref = solver.solve(f0, 0, 5027, t_end / 5027)
         errs.append(np.abs(coarse - ref).max())
     ratio = errs[1] / errs[0]
     assert 3.0 < ratio < 5.0, errs
@@ -442,8 +443,50 @@ def test_reference_numbers_match_the_cache_version():
     )
 
 
-def test_reference_n_must_match_grid(tmp_path):
-    cfg = RunConfig(epsilon=0.25, t_final=0.1, n_points=32, reference_n=48,
-                    mode="poisson", output_dir=str(tmp_path))
-    with pytest.raises(ValueError, match="multiple of n_points"):
-        reference_filtered(cfg)
+def test_reference_n_must_match_grid():
+    # the reference is a run, so its grid must be n_points times a power of two
+    for reference_n in (48, 96):
+        with pytest.raises(ValueError, match="reference_n .*multiple of n_points"):
+            RunConfig(epsilon=0.25, t_final=0.1, n_points=32, reference_n=reference_n, mode="poisson")
+    RunConfig(epsilon=0.25, t_final=0.1, n_points=32, reference_n=128, mode="poisson")
+
+
+# inputs a splitting reference ignores share its cache entry; inputs that
+# change its numbers get their own
+@pytest.mark.parametrize(
+    "key, value, shared",
+    [
+        ("n_tau", 8, True),
+        ("init", "plain", True),
+        ("delta_t", 0.01, True),
+        ("scheme", "splitting", True),
+        ("output_dir", "elsewhere", True),
+        ("snapshot_times", (0.02,), True),
+        ("rms_every", 3, True),
+        ("tension", "cos4", False),
+        ("xi_max", 4.5, False),
+        ("alpha", 0.25, False),
+        ("reference_dt_factor", 0.04, False),
+        ("reference_n", 128, False),
+    ],
+)
+def test_reference_cache_key_is_the_reference_config(tmp_path, key, value, shared):
+    cache = tmp_path / "cache"
+    cfg = RunConfig(epsilon=0.5, t_final=0.04, n_points=32, n_tau=16, mode="poisson")
+    first = reference_filtered(cfg, cache_dir=str(cache))
+    (entry,) = cache.iterdir()
+    # a marker coming back proves the changed config reads the same entry
+    marker = np.full_like(first, 7.0)
+    np.save(entry, marker)
+    got = reference_filtered(cfg.replace(**{key: value}), cache_dir=str(cache))
+    assert len(list(cache.iterdir())) == (1 if shared else 2)
+    assert np.array_equal(got, marker) == shared
+
+
+def test_diffusion_converges_against_its_own_time():
+    # the diffusion scheme at time t is the standard problem at t/eps; scored
+    # against that, the error falls at second order (2.07 measured)
+    cfg = RunConfig(epsilon=0.2, t_final=0.1, n_points=64, n_tau=32, scheme="diffusion",
+                    tension="cos4", alpha=0.4, edge=0.8, init="plain")
+    _, slopes = convergence_study(cfg, [0.005, 0.0025], [0.2], write=False)
+    assert slopes[0][1] >= 1.8, slopes

@@ -133,8 +133,8 @@ def test_splitting_harmonic_rotation():
     errs = []
     for dt in (0.2, 0.1, 0.05):
         f = solver.initial_state()
-        f = solver.advance(f, 0, 1, dt)
-        f = solver.advance(f, 1, 2, dt)
+        f = solver.solve(f, 0, 1, dt)
+        f = solver.solve(f, 1, 2, dt)
         exact = initial_distribution(*rotate_to_xi(2.0 * dt, r, v))
         errs.append(np.abs(f - exact).max())
     assert 7.0 < errs[0] / errs[1] < 9.5
@@ -145,11 +145,11 @@ def test_splitting_self_convergence():
     grid = PhaseGrid(64)
     solver = SplittingSolver(grid, 0.25, get_tension("cos2sq"), "linear")
     t = np.pi / 16
-    ref = solver.solve(512, t / 512)
+    ref = solver.solve(solver.initial_state(), 0, 512, t / 512)
     dts, errs = [], []
     for n in (8, 16, 32):
         dts.append(t / n)
-        errs.append(np.abs(solver.solve(n, t / n) - ref).max())
+        errs.append(np.abs(solver.solve(solver.initial_state(), 0, n, t / n) - ref).max())
     slope = np.polyfit(np.log(dts), np.log(errs), 1)[0]
     assert slope >= 1.8, (slope, errs)
 
@@ -161,7 +161,7 @@ def test_splitting_matches_second_order_model():
     grid = PhaseGrid(64)
     eps = 0.01
     solver = SplittingSolver(grid, eps, get_tension("cos2sq"), "linear")
-    f = solver.solve(125664, 2.0 * np.pi / 125664)  # dt near 5e-5
+    f = solver.solve(solver.initial_state(), 0, 125664, 2.0 * np.pi / 125664)  # dt near 5e-5
     r, v = grid.mesh()
     model = model_solution("second_order", 2.0 * np.pi, eps, *rotate_to_xi(2.0 * np.pi / eps, r, v))
     rel = np.abs(f - model).max() / np.abs(model).max()
@@ -180,7 +180,8 @@ def test_exact_linear_matches_fine_splitting(tension):
     # measured 2.0e-6 (cos2sq) and 3.3e-6 (cos4), second order in the step
     grid = PhaseGrid(64)
     eps, t = 0.25, np.pi / 4
-    f = SplittingSolver(grid, eps, get_tension(tension)).solve(628, t / 628)  # dt near 0.00125
+    solver = SplittingSolver(grid, eps, get_tension(tension))
+    f = solver.solve(solver.initial_state(), 0, 628, t / 628)  # dt near 0.00125
     r, v = grid.mesh()
     exact = exact_linear(t, eps, get_tension(tension), *rotate_to_xi(t / eps, r, v))
     assert np.abs(f - exact).max() / np.abs(exact).max() < 1e-5
@@ -201,8 +202,8 @@ def _fused_and_single_steps(n_points):
     dt = 0.1 / 3
     single = f0
     for n in range(3):
-        single = solver.advance(single, n, n + 1, dt)
-    return f0, solver.advance(f0, 0, 0, dt), solver.advance(f0, 0, 3, dt), single
+        single = solver.solve(single, n, n + 1, dt)
+    return f0, solver.solve(f0, 0, 0, dt), solver.solve(f0, 0, 3, dt), single
 
 
 @pytest.mark.parametrize("n_points", [32, 128])
@@ -226,7 +227,7 @@ def test_splitting_poisson_mass_conservation():
     f = solver.initial_state()
     mass0 = f.sum() * grid.delta_xi**2
     for n in range(20):
-        f = solver.advance(f, n, n + 1, 0.01)
+        f = solver.solve(f, n, n + 1, 0.01)
     mass = f.sum() * grid.delta_xi**2
     assert abs(mass - mass0) <= 1e-12 * abs(mass0)
     assert np.isfinite(f).all()

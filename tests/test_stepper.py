@@ -321,7 +321,6 @@ def test_cfl_dt():
     e1 = np.full((2, 4, 4), 2.0)
     e2 = np.zeros((2, 4, 4))
     assert cfl_dt(e1, e2, 0.5) == 0.25
-    assert cfl_dt(e1, e2, 0.5, safety=0.5) == 0.125
     with pytest.raises(ZeroField):
         cfl_dt(np.zeros(3), np.zeros(3), 0.5)
 
