@@ -9,7 +9,7 @@ mean-free data, returning the unique mean-free primitive), and the resolvent
 All operators are diagonal in Fourier:
 
     Pi        : keeps the k = 0 coefficient,
-    L         : multiplies by i*k,
+    L         : multiplies by i*k (I - lam*L, the explicit half step, by 1 - i*lam*k),
     L^{-1}    : divides by i*k (k != 0),
     resolvent : divides by 1 + i*lam*k.
 
@@ -74,13 +74,25 @@ def _nodal_matrix(n: int, symbol: np.ndarray) -> np.ndarray:
     return np.fft.irfft(np.fft.rfft(np.eye(n), axis=0) * symbol[:, None], n=n, axis=0)
 
 
-def spectral_derivative(g: np.ndarray) -> np.ndarray:
-    """Spectral d/dtau; the Nyquist mode has zero nodal derivative and is dropped."""
-    g = np.asarray(g, dtype=float)
-    n = g.shape[0]
+def _derivative_symbol(n: int) -> np.ndarray:
+    """i*k for k = 0..n/2; the Nyquist mode has zero nodal derivative and is dropped."""
     symbol = 1j * np.arange(n // 2 + 1)
     symbol[-1] = 0.0
-    return _apply_tau(_nodal_matrix(n, symbol), g)
+    return symbol
+
+
+def spectral_derivative(g: np.ndarray) -> np.ndarray:
+    """Spectral d/dtau, L g."""
+    g = np.asarray(g, dtype=float)
+    n = g.shape[0]
+    return _apply_tau(_nodal_matrix(n, _derivative_symbol(n)), g)
+
+
+def explicit_tau(g: np.ndarray, lam: float) -> np.ndarray:
+    """(I - lam * d/dtau) g, the explicit half of the Crank-Nicolson step, in one product."""
+    g = np.asarray(g, dtype=float)
+    n = g.shape[0]
+    return _apply_tau(_nodal_matrix(n, 1.0 - lam * _derivative_symbol(n)), g)
 
 
 def invert_derivative(g: np.ndarray) -> np.ndarray:

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 from scipy.ndimage import map_coordinates
 from scipy.sparse import csr_matrix
 
@@ -114,7 +113,8 @@ def radial_field(rho: np.ndarray, grid: PhaseGrid) -> np.ndarray:
 
     s = grid.nodes[m:]  # 0, dxi, ..., xi_max - dxi
     q = s * rho[..., m:]
-    integral = cumulative_trapezoid(q, dx=grid.delta_xi, initial=0.0, axis=-1)
+    integral = np.zeros_like(q)
+    np.cumsum(grid.delta_xi * (q[..., 1:] + q[..., :-1]) / 2.0, axis=-1, out=integral[..., 1:])
     e_pos = np.zeros_like(integral)
     e_pos[..., 1:] = integral[..., 1:] / s[1:]
 

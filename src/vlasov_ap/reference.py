@@ -21,7 +21,6 @@ primitive of the tension, so the only time-scale restriction is accuracy.
 from __future__ import annotations
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import averaging
 from .domain import PhaseGrid, initial_distribution, rotate_to_rv
@@ -96,6 +95,10 @@ def exact_linear(t: float, eps: float, tension: Tension, xi1, xi2, f0_params: di
 
     phi = np.eye(2)
     if t > 0:
+        # imported here: scipy.integrate adds about 24 MB to every process that loads it,
+        # and runs that never ask for the exact solution need none of it
+        from scipy.integrate import solve_ivp
+
         sol = solve_ivp(hill, (0.0, t), phi.ravel(), method="DOP853", rtol=1e-12, atol=1e-12)
         if not sol.success:
             raise RuntimeError(f"Hill system integration failed: {sol.message}")

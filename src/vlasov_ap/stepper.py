@@ -18,6 +18,18 @@ values outside the box.  Both occurrences of L use the same spectral
 derivative; mixing discretizations here breaks the mode-wise unitarity of the
 update and with it the uniform accuracy.
 
+In linear mode E is the applied field alone and never changes, so the xi
+parts of both stages are fixed matrices with four entries per row (see
+xi_operator), built at the first advance for a given dt:
+
+    P = avg - (dt/2) Phi,   Q = -dt Phi,
+    F* = R (P F),   F+ = R (Q F* + (I - lam L) F),   R = (I + lam L)^{-1},
+
+with I - lam L one nodal matrix product.  In poisson mode E includes the
+self-field of the current stage, so each stage evaluates the stencils afresh
+(flux, four_point_average): a fixed operator could carry only the applied
+part, and the self part would still cost one full flux per stage.
+
 A micro-macro variant of the same pattern handles the longer diffusion time
 scale, where the tension is mean-free and the solution is split as
 F = G + h with G = Pi F.
@@ -25,6 +37,7 @@ F = G + h with G = Pi F.
 from __future__ import annotations
 
 import numpy as np
+from scipy.sparse import dia_matrix
 
 from . import averaging, fields
 from .domain import PhaseGrid, TorusGrid, initial_distribution, rotate_to_xi
@@ -58,6 +71,30 @@ def four_point_average(f: np.ndarray) -> np.ndarray:
     out[..., :, 1:] += f[..., :, :-1]
     out *= 0.25
     return out
+
+
+def xi_operator(e1: np.ndarray, e2: np.ndarray, delta_xi: float, c_avg: float, c_flux: float):
+    """c_avg * four_point_average + c_flux * Phi for a fixed field, as a DIA matrix.
+
+    Acts on a state of the field's shape (n_tau, n, n), flattened.  The
+    offsets are (n, -n, 1, -1), one per neighbour, and DIA data are indexed
+    by column, so each diagonal holds c_avg/4 +- c_flux * e / (2 delta_xi)
+    with e taken at the neighbour.  A neighbour outside the box gets weight 0,
+    which is the zero ghost.  The matrix holds 4 values per state entry and
+    no index arrays.
+    """
+    n = e1.shape[-1]
+    c = c_flux / (2.0 * delta_xi)
+    data = np.empty((4,) + e1.shape)
+    for d, e, sign in zip(data, (e1, e1, e2, e2), (1.0, -1.0, 1.0, -1.0)):
+        np.multiply(e, sign * c, out=d)
+        d += 0.25 * c_avg
+    # the neighbour of the row across each edge of its slice is a ghost
+    data[0, ..., 0, :] = 0.0
+    data[1, ..., -1, :] = 0.0
+    data[2, ..., :, 0] = 0.0
+    data[3, ..., :, -1] = 0.0
+    return dia_matrix((data.reshape(4, -1), (n, -n, 1, -1)), shape=(e1.size, e1.size))
 
 
 def step_half(f, e1, e2, eps: float, dt: float, delta_xi: float) -> np.ndarray:
@@ -115,6 +152,7 @@ class APSolver:
         self.f0_params = dict(f0_params or {})
         self.applied = fields.sample_applied_field(tension, torus, phase)
         self.rotator = fields.FrameRotator(phase, torus) if mode == "poisson" else None
+        self._xi_operators = None  # (dt, P, Q) of the linear step, built at its first advance
 
     def total_field(self, state: np.ndarray):
         """Applied plus (in poisson mode) self-consistent field for a given state."""
@@ -147,16 +185,36 @@ class APSolver:
         return initial_distribution(x1[None] - eps * s1, x2[None] - eps * s2, **self.f0_params)
 
     def advance(self, state: np.ndarray, dt: float) -> np.ndarray:
-        """One step; the field is refreshed at t_n and at the predictor stage."""
-        dxi = self.phase.delta_xi
-        e1, e2 = self.total_field(state)
-        f_half = step_half(state, e1, e2, self.epsilon, dt, dxi)
-        if self.mode == "poisson":
+        """One step; in poisson mode the field is refreshed at t_n and at the predictor stage."""
+        if self.mode == "linear":
+            p, q = self._linear_operators(dt)
+            lam = dt / (2.0 * self.epsilon)
+            f_half = averaging.solve_implicit_tau((p @ state.ravel()).reshape(state.shape), lam)
+            # at most three state-sized arrays are alive at once, the state included
+            rhs = (q @ f_half.ravel()).reshape(state.shape)
+            del f_half
+            rhs += averaging.explicit_tau(state, lam)
+            out = averaging.solve_implicit_tau(rhs, lam)
+        else:
+            dxi = self.phase.delta_xi
+            e1, e2 = self.total_field(state)
+            f_half = step_half(state, e1, e2, self.epsilon, dt, dxi)
             e1, e2 = self.total_field(f_half)
-        out = step_full(state, f_half, e1, e2, self.epsilon, dt, dxi)
+            out = step_full(state, f_half, e1, e2, self.epsilon, dt, dxi)
         if not np.all(np.isfinite(out)):
             raise StabilityFailure("non-finite values in the state; reduce dt")
         return out
+
+    def _linear_operators(self, dt: float):
+        """The predictor's and corrector's xi parts for step dt, P and Q, kept while dt holds."""
+        if self._xi_operators is None or self._xi_operators[0] != dt:
+            self._xi_operators = None  # free the old pair before the new one is allocated
+            e1, e2 = self.applied
+            dxi = self.phase.delta_xi
+            p = xi_operator(e1, e2, dxi, 1.0, -0.5 * dt)
+            q = xi_operator(e1, e2, dxi, 0.0, -dt)
+            self._xi_operators = (dt, p, q)
+        return self._xi_operators[1:]
 
     def suggest_dt(self, state: np.ndarray) -> float:
         e1, e2 = self.total_field(state)

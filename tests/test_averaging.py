@@ -11,6 +11,7 @@ import pytest
 from vlasov_ap.averaging import (
     antiderivative_from_zero,
     eval_at_tau,
+    explicit_tau,
     fluctuation,
     invert_derivative,
     project_mean,
@@ -243,6 +244,7 @@ def test_operators_match_fourier_definition(shape_id):
     assert_matches(invert_derivative(h), fourier_tau(h, primitive_symbol(n)))
     for lam in (1e-3, 0.7, 1e3, 1e8):
         assert_matches(solve_implicit_tau(g, lam), fourier_tau(g, resolvent_symbol(n, lam)))
+        assert_matches(explicit_tau(g, lam), g - lam * fourier_tau(g, derivative_symbol(n)))
     for tau_star in (0.0, 0.3, 2.71, 2.0 * np.pi * 5 / n):
         assert_matches(np.asarray(eval_at_tau(g, tau_star)), fourier_eval(g, tau_star))
 
@@ -259,6 +261,7 @@ def test_operators_reject_odd_length():
     # at n = 5 cos(2 tau) is a genuine top mode; no Nyquist rule applies to it
     g = np.cos(2 * (2 * np.pi / 5) * np.arange(5))
     for op in (spectral_derivative, invert_derivative,
-               lambda x: solve_implicit_tau(x, 0.9), lambda x: eval_at_tau(x, 0.3)):
+               lambda x: solve_implicit_tau(x, 0.9), lambda x: explicit_tau(x, 0.9),
+               lambda x: eval_at_tau(x, 0.3)):
         with pytest.raises(ValueError, match="even"):
             op(g)

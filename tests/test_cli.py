@@ -163,10 +163,24 @@ def test_selftest_exits_1_under_a_broken_operator(monkeypatch, capsys):
     # a flux 5 % too strong lowers the linear ap error (6.8e-3 against 9.4e-3),
     # so only the lower edge of that check's band catches it
     monkeypatch.undo()
-    flux = stepper.flux
-    monkeypatch.setattr(stepper, "flux", lambda *args: 1.05 * flux(*args))
+    xi_operator = stepper.xi_operator
+    monkeypatch.setattr(stepper, "xi_operator",
+                        lambda e1, e2, dxi, c_avg, c_flux: xi_operator(e1, e2, dxi, c_avg, 1.05 * c_flux))
     assert main(["selftest"]) == 1
     assert "FAIL linear ap vs exact" in capsys.readouterr().out
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # scipy.integrate costs about 24 MB of resident memory, and only the exact
+    # linear reference needs it
+    package_root = str(Path(vlasov_ap.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
+    code = "import sys, vlasov_ap.cli; print('scipy.integrate' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def _script_target(name):

@@ -22,6 +22,7 @@ from vlasov_ap.stepper import (
     four_point_average,
     step_full,
     step_half,
+    xi_operator,
 )
 
 
@@ -84,6 +85,18 @@ def test_four_point_average():
     np.testing.assert_allclose(four_point_average(r), pad_average(r), atol=1e-15)
     r = rng.standard_normal((8, 3, 8)).transpose(1, 0, 2)
     np.testing.assert_allclose(four_point_average(r), pad_average(r), atol=1e-15)
+
+
+@pytest.mark.parametrize("shape", [(4, 8, 8), (3, 5, 5), (16, 32, 32)])
+def test_xi_operator_matches_the_stencils(shape):
+    rng = np.random.default_rng(19)
+    e1, e2, f = (rng.standard_normal(shape) for _ in range(3))
+    dxi = 0.3
+    for a, b in ((1.0, -0.01), (0.0, -0.02), (0.7, 1.3), (1.0, 0.0)):
+        got = (xi_operator(e1, e2, dxi, a, b) @ f.ravel()).reshape(shape)
+        want = a * four_point_average(f) + b * flux(e1, e2, f, dxi)
+        # the whole array, edge rows and columns of every slice included
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
 
 def test_step_half_trivial_cases():
@@ -204,6 +217,18 @@ def test_advance_matches_fft_reference(mode):
     for _ in range(4):
         f = solver.advance(f, dt)
         ref = reference_advance(solver, ref, dt)
+        assert_rel_close(f, ref)
+
+
+def test_advance_rebuilds_its_operators_when_dt_changes():
+    grid = PhaseGrid(32)
+    torus = TorusGrid(16)
+    solver = APSolver(grid, torus, get_tension("cos2sq"), 0.25)
+    f = ref = solver.initial_state("corrected")
+    dt = 0.5 * solver.suggest_dt(f)
+    for step in (dt, 0.5 * dt, dt):
+        f = solver.advance(f, step)
+        ref = reference_advance(solver, ref, step)
         assert_rel_close(f, ref)
 
 
