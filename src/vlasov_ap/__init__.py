@@ -42,7 +42,6 @@ from .harness import (
 )
 from .reference import (
     SplittingSolver,
-    effective_hamiltonian,
     limit_solution,
     rotation_rate,
     second_order_solution,
@@ -69,7 +68,6 @@ __all__ = [
     "cfl_dt",
     "convergence_study",
     "density",
-    "effective_hamiltonian",
     "eval_at_tau",
     "fluctuation",
     "get_tension",

@@ -11,13 +11,15 @@ density computed in the lab frame, rotated back:
     E_self(tau, xi) = E_f(r(tau, xi)) * (-sin tau, cos tau),
     E_f(r) = (1/r) * integral_0^r s rho(s) ds,  r(tau, xi) = xi1 cos tau + xi2 sin tau.
 
-Density and radial integrals live on the same box as the xi grid, reusing it
-as an (r, v) mesh.  Around the radial solve the self-field is two linear
-maps, fixed for a run and held by FrameRotator as sparse matrices: state ->
-rho(tau_l, r), and radial profile -> its value at r(tau_l, xi).  All
-interpolation here extends the grid by zero ghost nodes, so a lookup ramps
-to zero within one cell past the outermost nodes; the distribution is
-assumed compactly supported inside the box.
+Both are a scalar amplitude times (-sin tau, cos tau); applied_amplitude and
+self_field return the amplitudes, and the stepper builds its operators from
+their sum.  Density and radial integrals live on the same box as the xi
+grid, reusing it as an (r, v) mesh.  Around the radial solve the self-field
+is two linear maps, fixed for a run and held by FrameRotator as sparse
+matrices: state -> rho(tau_l, r), and radial profile -> its value at
+r(tau_l, xi).  All interpolation here extends the grid by zero ghost nodes,
+so a lookup ramps to zero within one cell past the outermost nodes; the
+distribution is assumed compactly supported inside the box.
 """
 from __future__ import annotations
 
@@ -71,11 +73,15 @@ def get_tension(name: str) -> Tension:
         raise KeyError(f"unknown tension {name!r}; available: {sorted(TENSIONS)}") from None
 
 
+def applied_amplitude(tension: Tension, tau, xi1, xi2):
+    """Amplitude a(tau) (xi1 cos tau + xi2 sin tau) of the applied field along (-sin tau, cos tau)."""
+    return tension(tau) * (xi1 * np.cos(tau) + xi2 * np.sin(tau))
+
+
 def applied_field(tension: Tension, tau, xi1, xi2):
     """Applied (lattice) field at angle tau and position xi; broadcasts over inputs."""
-    r = xi1 * np.cos(tau) + xi2 * np.sin(tau)
-    a = tension(tau)
-    return -a * r * np.sin(tau), a * r * np.cos(tau)
+    g = applied_amplitude(tension, tau, xi1, xi2)
+    return -g * np.sin(tau), g * np.cos(tau)
 
 
 def sample_applied_field(tension: Tension, torus: TorusGrid, phase: PhaseGrid):
@@ -164,8 +170,6 @@ class FrameRotator:
         n, nt = phase.n_points, torus.n_tau
         if 4 * nt * n * n >= 2 ** 31:
             raise ValueError("grid too large for int32 operator indices")
-        self.cos_tau = np.cos(torus.nodes)
-        self.sin_tau = np.sin(torus.nodes)
 
         # density rows (l, r) run over (v, corner in xi1, corner in xi2)
         dens_idx = np.empty((nt, n, n, 2, 2), dtype=np.int32)
@@ -207,17 +211,14 @@ def _fixed_row_csr(idx: np.ndarray, w: np.ndarray, n_cols: int) -> csr_matrix:
     return csr_matrix((w.reshape(-1), idx.reshape(-1), indptr), shape=(rows, n_cols))
 
 
-def self_field(state: np.ndarray, rotator: FrameRotator):
-    """Self-consistent field on the (tau, xi) grid from a two-scale state.
+def self_field(state: np.ndarray, rotator: FrameRotator) -> np.ndarray:
+    """Amplitude E_f(r(tau, xi)) of the self-consistent field on the (tau, xi) grid.
 
-    Returns the pair (e1, e2), each of shape (n_tau, n, n): the lab-frame
-    density of every slice, its radial Poisson field, spread back onto the xi
-    mesh along (-sin tau, cos tau).
+    The lab-frame density of every slice of a two-scale state, its radial
+    Poisson field, spread back onto the xi mesh; shape (n_tau, n, n).  The
+    field itself is this amplitude times (-sin tau, cos tau).
     """
     nt, n = rotator.torus.n_tau, rotator.phase.n_points
     rho = (rotator.to_density @ np.ravel(state)).reshape(nt, n)
     e_rad = radial_field(rho, rotator.phase)
-    e_at = (rotator.spread @ e_rad.reshape(-1)).reshape(nt, n, n)
-    e1 = -rotator.sin_tau[:, None, None] * e_at
-    e2 = rotator.cos_tau[:, None, None] * e_at
-    return e1, e2
+    return (rotator.spread @ e_rad.reshape(-1)).reshape(nt, n, n)

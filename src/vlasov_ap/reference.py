@@ -22,9 +22,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import averaging
 from .domain import PhaseGrid, initial_distribution, rotate_to_rv
-from .fields import Tension, applied_field, density, radial_field, sample_plane
+from .fields import Tension, density, radial_field, sample_plane
 
 LIMIT_ROTATION_RATE = 0.25
 ROTATION_RATE_SLOPE = 5.0 / 192.0
@@ -117,34 +116,6 @@ def model_solution(model: str, t: float, eps: float, xi1, xi2, f0_params: dict |
     if model == "second_order":
         return second_order_solution(t, (t / eps) % (2 * np.pi), xi1, xi2, eps, f0_params)
     raise ValueError(f"unknown model {model!r}")
-
-
-def effective_hamiltonian(xi1, xi2, tension: Tension, n_tau: int = 64):
-    """Quadratic invariant D(xi) driving the order-eps rotation correction.
-
-    Computed from the Fourier coefficients A_k of the applied field on the
-    torus as 2 Im sum_{k>=1} A_{k,1} conj(A_{k,2}) / k; spectrally exact for
-    band-limited tensions.  For cos2sq this equals 5/384 * |xi|^2.
-    """
-    tau = (2.0 * np.pi / n_tau) * np.arange(n_tau)
-    shape = (-1,) + (1,) * np.ndim(xi1)
-    e1, e2 = applied_field(tension, tau.reshape(shape), np.asarray(xi1)[None], np.asarray(xi2)[None])
-    a1 = np.fft.rfft(e1, axis=0) / n_tau
-    a2 = np.fft.rfft(e2, axis=0) / n_tau
-    k = np.arange(1, a1.shape[0] - 1).reshape(shape)
-    return 2.0 * (a1[1:-1] * np.conj(a2[1:-1]) / k).imag.sum(axis=0)
-
-
-def drift_coupling_matrix(tension: Tension, xi1: float, xi2: float, n_tau: int = 64) -> np.ndarray:
-    """Skew-symmetric matrix -(1/2 pi) integral E_i L^{-1}[(I - Pi) E_j] dtau at one xi.
-
-    Cross-checks effective_hamiltonian through an independent quadrature route:
-    the (1, 2) entry equals D(xi).
-    """
-    tau = (2.0 * np.pi / n_tau) * np.arange(n_tau)
-    e = np.stack(applied_field(tension, tau, xi1, xi2))  # (2, n_tau)
-    prim = np.stack([averaging.invert_derivative(averaging.fluctuation(ei)) for ei in e])
-    return -np.einsum("it,jt->ij", e, prim) / n_tau
 
 
 class SplittingSolver:

@@ -18,17 +18,18 @@ values outside the box.  Both occurrences of L use the same spectral
 derivative; mixing discretizations here breaks the mode-wise unitarity of the
 update and with it the uniform accuracy.
 
-In linear mode E is the applied field alone and never changes, so the xi
-parts of both stages are fixed matrices with four entries per row (see
-xi_operator), built at the first advance for a given dt:
+The field is a scalar amplitude times a fixed direction, E = g(tau, xi)
+(-sin tau, cos tau), for the applied field and the self-field alike.  So the
+xi parts of both stages are matrices with four entries per row, built from
+g (see xi_operator):
 
     P = avg - (dt/2) Phi,   Q = -dt Phi,
     F* = R (P F),   F+ = R (Q F* + (I - lam L) F),   R = (I + lam L)^{-1},
 
-with I - lam L one nodal matrix product.  In poisson mode E includes the
-self-field of the current stage, so each stage evaluates the stencils afresh
-(flux, four_point_average): a fixed operator could carry only the applied
-part, and the self part would still cost one full flux per stage.
+with I - lam L one nodal matrix product.  In linear mode g is the applied
+amplitude alone, so P and Q are built once for a given dt and kept.  In
+poisson mode g includes the self-field of the stage's state, so P is built
+from F and Q from F*, each used for one product and freed.
 
 A micro-macro variant of the same pattern handles the longer diffusion time
 scale, where the tension is mean-free and the solution is split as
@@ -73,46 +74,34 @@ def four_point_average(f: np.ndarray) -> np.ndarray:
     return out
 
 
-def xi_operator(e1: np.ndarray, e2: np.ndarray, delta_xi: float, c_avg: float, c_flux: float):
-    """c_avg * four_point_average + c_flux * Phi for a fixed field, as a DIA matrix.
+def xi_operator(g: np.ndarray, tau: np.ndarray, delta_xi: float, c_avg: float, c_flux: float):
+    """c_avg * four_point_average + c_flux * Phi for the field g (-sin tau, cos tau), as a DIA matrix.
 
-    Acts on a state of the field's shape (n_tau, n, n), flattened.  The
-    offsets are (n, -n, 1, -1), one per neighbour, and DIA data are indexed
-    by column, so each diagonal holds c_avg/4 +- c_flux * e / (2 delta_xi)
-    with e taken at the neighbour.  A neighbour outside the box gets weight 0,
-    which is the zero ghost.  The matrix holds 4 values per state entry and
-    no index arrays.
+    g has the state's shape (n_tau, n, n) and tau its n_tau angles; the
+    operator acts on that state, flattened.  The offsets are (n, -n, 1, -1),
+    one per neighbour, and DIA data are indexed by column, so the diagonals
+    hold c_avg/4 -+ c sin(tau) g and c_avg/4 +- c cos(tau) g, c = c_flux /
+    (2 delta_xi), with g taken at the neighbour.  A neighbour outside the box
+    gets weight 0, which is the zero ghost.  The matrix holds 4 values per
+    state entry and no index arrays.
     """
-    n = e1.shape[-1]
+    n = g.shape[-1]
     c = c_flux / (2.0 * delta_xi)
-    data = np.empty((4,) + e1.shape)
-    for d, e, sign in zip(data, (e1, e1, e2, e2), (1.0, -1.0, 1.0, -1.0)):
-        np.multiply(e, sign * c, out=d)
-        d += 0.25 * c_avg
+    tau = np.reshape(tau, (-1, 1, 1))
+    q = 0.25 * c_avg
+    data = np.empty((4,) + g.shape)
+    # each pair of diagonals is q +- c e for one component e of the field
+    for plus, minus, direction in zip(data[::2], data[1::2], (-np.sin(tau), np.cos(tau))):
+        np.multiply(g, c * direction, out=plus)
+        np.subtract(q, plus, out=minus)
+        if q:
+            plus += q
     # the neighbour of the row across each edge of its slice is a ghost
     data[0, ..., 0, :] = 0.0
     data[1, ..., -1, :] = 0.0
     data[2, ..., :, 0] = 0.0
     data[3, ..., :, -1] = 0.0
-    return dia_matrix((data.reshape(4, -1), (n, -n, 1, -1)), shape=(e1.size, e1.size))
-
-
-def step_half(f, e1, e2, eps: float, dt: float, delta_xi: float) -> np.ndarray:
-    """Predictor to t + dt/2; implicit in tau through the spectral resolvent."""
-    lam = dt / (2.0 * eps)
-    rhs = four_point_average(f) - 0.5 * dt * flux(e1, e2, f, delta_xi)
-    return averaging.solve_implicit_tau(rhs, lam)
-
-
-def step_full(f, f_half, e1_half, e2_half, eps: float, dt: float, delta_xi: float) -> np.ndarray:
-    """Corrector using the predicted state; Crank-Nicolson in tau."""
-    lam = dt / (2.0 * eps)
-    rhs = (
-        f
-        - dt * flux(e1_half, e2_half, f_half, delta_xi)
-        - lam * averaging.spectral_derivative(f)
-    )
-    return averaging.solve_implicit_tau(rhs, lam)
+    return dia_matrix((data.reshape(4, -1), (n, -n, 1, -1)), shape=(g.size, g.size))
 
 
 def cfl_dt(e1: np.ndarray, e2: np.ndarray, delta_xi: float) -> float:
@@ -127,8 +116,9 @@ class APSolver:
     """Driver for the two-scale scheme on fixed grids.
 
     mode "linear" uses the applied lattice field only; mode "poisson" adds the
-    self-consistent field recomputed at every stage.  The applied field does
-    not depend on t, so it is sampled once.
+    self-consistent field of each stage's state.  The solver holds the field
+    as its amplitude g; the applied part does not depend on t, so it is
+    sampled once.
     """
 
     def __init__(
@@ -150,17 +140,25 @@ class APSolver:
         self.epsilon = epsilon
         self.mode = mode
         self.f0_params = dict(f0_params or {})
-        self.applied = fields.sample_applied_field(tension, torus, phase)
+        x1, x2 = phase.mesh()
+        tau = torus.nodes.reshape(-1, 1, 1)
+        self.applied_amplitude = fields.applied_amplitude(tension, tau, x1, x2)
         self.rotator = fields.FrameRotator(phase, torus) if mode == "poisson" else None
         self._xi_operators = None  # (dt, P, Q) of the linear step, built at its first advance
 
+    def _field_amplitude(self, state: np.ndarray) -> np.ndarray:
+        """g of the field g (-sin tau, cos tau): applied plus, in poisson mode, the state's self-field."""
+        if self.mode == "linear":
+            return self.applied_amplitude
+        g = fields.self_field(state, self.rotator)
+        g += self.applied_amplitude
+        return g
+
     def total_field(self, state: np.ndarray):
-        """Applied plus (in poisson mode) self-consistent field for a given state."""
-        e1, e2 = self.applied
-        if self.mode == "poisson":
-            s1, s2 = fields.self_field(state, self.rotator)
-            return e1 + s1, e2 + s2
-        return e1, e2
+        """The field seen by a state, as its pair of components."""
+        g = self._field_amplitude(state)
+        tau = self.torus.nodes.reshape(-1, 1, 1)
+        return -np.sin(tau) * g, np.cos(tau) * g
 
     def initial_state(self, init: str = "corrected") -> np.ndarray:
         """Well-prepared data: either f0 copied across tau or the pushed-back profile.
@@ -185,36 +183,35 @@ class APSolver:
         return initial_distribution(x1[None] - eps * s1, x2[None] - eps * s2, **self.f0_params)
 
     def advance(self, state: np.ndarray, dt: float) -> np.ndarray:
-        """One step; in poisson mode the field is refreshed at t_n and at the predictor stage."""
-        if self.mode == "linear":
-            p, q = self._linear_operators(dt)
-            lam = dt / (2.0 * self.epsilon)
-            f_half = averaging.solve_implicit_tau((p @ state.ravel()).reshape(state.shape), lam)
-            # at most three state-sized arrays are alive at once, the state included
-            rhs = (q @ f_half.ravel()).reshape(state.shape)
-            del f_half
-            rhs += averaging.explicit_tau(state, lam)
-            out = averaging.solve_implicit_tau(rhs, lam)
-        else:
-            dxi = self.phase.delta_xi
-            e1, e2 = self.total_field(state)
-            f_half = step_half(state, e1, e2, self.epsilon, dt, dxi)
-            e1, e2 = self.total_field(f_half)
-            out = step_full(state, f_half, e1, e2, self.epsilon, dt, dxi)
+        """One step: the predictor F* = R(P F), then the corrector F+ = R(Q F* + (I - lam L) F)."""
+        lam = dt / (2.0 * self.epsilon)
+        f_half = self._xi_operator(0, state, dt) @ state.ravel()
+        f_half = averaging.solve_implicit_tau(f_half.reshape(state.shape), lam)
+        rhs = (self._xi_operator(1, f_half, dt) @ f_half.ravel()).reshape(state.shape)
+        del f_half  # freed before explicit_tau makes the next state-sized array
+        rhs += averaging.explicit_tau(state, lam)
+        out = averaging.solve_implicit_tau(rhs, lam)
         if not np.all(np.isfinite(out)):
             raise StabilityFailure("non-finite values in the state; reduce dt")
         return out
 
-    def _linear_operators(self, dt: float):
-        """The predictor's and corrector's xi parts for step dt, P and Q, kept while dt holds."""
+    def _xi_operator(self, stage: int, f: np.ndarray, dt: float):
+        """The xi part of the predictor (stage 0, P) or the corrector (stage 1, Q) for step dt.
+
+        Linear mode keeps both while dt holds.  Poisson mode builds the one
+        asked for from the field of f, the state that stage acts on.
+        """
+        if self.mode == "poisson":
+            return self._stage_operator(stage, self._field_amplitude(f), dt)
         if self._xi_operators is None or self._xi_operators[0] != dt:
             self._xi_operators = None  # free the old pair before the new one is allocated
-            e1, e2 = self.applied
-            dxi = self.phase.delta_xi
-            p = xi_operator(e1, e2, dxi, 1.0, -0.5 * dt)
-            q = xi_operator(e1, e2, dxi, 0.0, -dt)
-            self._xi_operators = (dt, p, q)
-        return self._xi_operators[1:]
+            g = self.applied_amplitude
+            self._xi_operators = (dt, self._stage_operator(0, g, dt), self._stage_operator(1, g, dt))
+        return self._xi_operators[1 + stage]
+
+    def _stage_operator(self, stage: int, g: np.ndarray, dt: float):
+        c_avg, c_flux = ((1.0, -0.5 * dt), (0.0, -dt))[stage]
+        return xi_operator(g, self.torus.nodes, self.phase.delta_xi, c_avg, c_flux)
 
     def suggest_dt(self, state: np.ndarray) -> float:
         e1, e2 = self.total_field(state)
@@ -259,7 +256,7 @@ class DiffusionSolver:
         self.tension = tension
         self.epsilon = epsilon
         self.transport = APSolver(phase, torus, tension, epsilon, f0_params=f0_params)
-        e1, e2 = self.transport.applied
+        e1, e2 = fields.sample_applied_field(tension, torus, phase)
         sup = max(np.abs(e1).max(), np.abs(e2).max())
         mean_sup = max(np.abs(e1.mean(axis=0)).max(), np.abs(e2.mean(axis=0)).max())
         if sup > 0 and mean_sup > 1e-10 * sup:

@@ -14,6 +14,7 @@ import time
 
 import numpy as np
 import pytest
+from test_reference import drift_coupling_matrix, effective_hamiltonian
 
 from vlasov_ap import averaging
 from vlasov_ap.domain import PhaseGrid, TorusGrid
@@ -29,20 +30,12 @@ from vlasov_ap.harness import (
 )
 from vlasov_ap.reference import (
     constant_drift,
-    drift_coupling_matrix,
-    effective_hamiltonian,
     limit_solution,
     periodic_drift,
     rotation_rate,
     second_order_solution,
 )
-from vlasov_ap.stepper import (
-    APSolver,
-    DiffusionSolver,
-    flux,
-    step_full,
-    step_half,
-)
+from vlasov_ap.stepper import APSolver, DiffusionSolver, flux
 
 
 def band_limited(rng, n_tau, shape, n_modes=6):
@@ -356,12 +349,10 @@ def test_criterion_8_micro_macro_invariants():
     eps = 0.01
     solver = APSolver(phase, torus, tension, eps, mode="linear")
     f = solver.initial_state("corrected")
-    e1, e2 = solver.total_field(f)
     mass0 = total_mass(averaging.project_mean(f), phase)
     mass_drift = 0.0
     for _ in range(20):
-        f_half = step_half(f, e1, e2, eps, dt, dxi)
-        f = step_full(f, f_half, e1, e2, eps, dt, dxi)
+        f = solver.advance(f, dt)
         mass_drift = max(
             mass_drift, abs(total_mass(averaging.project_mean(f), phase) - mass0) / abs(mass0)
         )

@@ -13,15 +13,13 @@ from test_averaging import derivative_symbol, fourier_tau, resolvent_symbol
 from vlasov_ap import averaging
 from vlasov_ap.domain import PhaseGrid, TorusGrid, initial_distribution
 from vlasov_ap.errors import NonMeanFreeTension, StabilityFailure, ZeroField
-from vlasov_ap.fields import get_tension, sample_applied_field
+from vlasov_ap.fields import applied_amplitude, get_tension, sample_applied_field
 from vlasov_ap.stepper import (
     APSolver,
     DiffusionSolver,
     cfl_dt,
     flux,
     four_point_average,
-    step_full,
-    step_half,
     xi_operator,
 )
 
@@ -87,16 +85,42 @@ def test_four_point_average():
     np.testing.assert_allclose(four_point_average(r), pad_average(r), atol=1e-15)
 
 
+def field_pair(g, tau):
+    """The field g (-sin tau, cos tau) of an amplitude g on (n_tau, n, n)."""
+    tau = np.reshape(tau, (-1, 1, 1))
+    return -np.sin(tau) * g, np.cos(tau) * g
+
+
 @pytest.mark.parametrize("shape", [(4, 8, 8), (3, 5, 5), (16, 32, 32)])
 def test_xi_operator_matches_the_stencils(shape):
     rng = np.random.default_rng(19)
-    e1, e2, f = (rng.standard_normal(shape) for _ in range(3))
+    tau = rng.uniform(0.0, 2.0 * np.pi, shape[0])
+    f = rng.standard_normal(shape)
     dxi = 0.3
-    for a, b in ((1.0, -0.01), (0.0, -0.02), (0.7, 1.3), (1.0, 0.0)):
-        got = (xi_operator(e1, e2, dxi, a, b) @ f.ravel()).reshape(shape)
-        want = a * four_point_average(f) + b * flux(e1, e2, f, dxi)
-        # the whole array, edge rows and columns of every slice included
-        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+    x1, x2 = rng.uniform(-3.0, 3.0, (2,) + shape[1:])
+    applied = applied_amplitude(get_tension("cos2sq"), tau[:, None, None], x1, x2)
+    # the applied amplitude, and an arbitrary one such as a poisson stage builds
+    for g in (applied, rng.standard_normal(shape)):
+        e1, e2 = field_pair(g, tau)
+        for a, b in ((1.0, -0.01), (0.0, -0.02), (0.7, 1.3), (1.0, 0.0)):
+            got = (xi_operator(g, tau, dxi, a, b) @ f.ravel()).reshape(shape)
+            want = a * four_point_average(f) + b * flux(e1, e2, f, dxi)
+            # the whole array, edge rows and columns of every slice included
+            assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+
+def step_half(f, g, eps, dt, delta_xi):
+    """The predictor F* = R(P F) of APSolver.advance, from its stencil pieces."""
+    p = xi_operator(g, TorusGrid(f.shape[0]).nodes, delta_xi, 1.0, -0.5 * dt)
+    return averaging.solve_implicit_tau((p @ f.ravel()).reshape(f.shape), dt / (2.0 * eps))
+
+
+def step_full(f, f_half, g_half, eps, dt, delta_xi):
+    """The corrector F+ = R(Q F* + (I - lam L) F) of APSolver.advance, from its stencil pieces."""
+    lam = dt / (2.0 * eps)
+    q = xi_operator(g_half, TorusGrid(f.shape[0]).nodes, delta_xi, 0.0, -dt)
+    rhs = (q @ f_half.ravel()).reshape(f.shape) + averaging.explicit_tau(f, lam)
+    return averaging.solve_implicit_tau(rhs, lam)
 
 
 def test_step_half_trivial_cases():
@@ -105,11 +129,11 @@ def test_step_half_trivial_cases():
     f = np.broadcast_to(f2d, (8, 8, 8)).copy()
     zero = np.zeros((8, 8, 8))
     # no field, tau-independent state: the resolvent is the identity
-    out = step_half(f, zero, zero, 0.5, 0.1, 1.0)
+    out = step_half(f, zero, 0.5, 0.1, 1.0)
     np.testing.assert_allclose(out, four_point_average(f), atol=1e-13)
     # dt -> 0 recovers the four-point average on any state
     g = rng.standard_normal((8, 8, 8))
-    out = step_half(g, zero + 1.0, zero - 2.0, 0.5, 1e-12, 1.0)
+    out = step_half(g, zero + 2.0, 0.5, 1e-12, 1.0)
     np.testing.assert_allclose(out, four_point_average(g), atol=1e-10)
 
 
@@ -120,7 +144,7 @@ def test_step_half_resolvent_harmonic():
     lam = dt / (2 * eps)
     f = np.cos(torus.nodes)[:, None, None] * np.ones((32, 8, 8))
     zero = np.zeros((32, 8, 8))
-    out = step_half(f, zero, zero, eps, dt, 1.0)
+    out = step_half(f, zero, eps, dt, 1.0)
     want = (np.cos(torus.nodes) + lam * np.sin(torus.nodes)) / (1 + lam ** 2)
     avg_mask = four_point_average(np.ones((8, 8)))
     np.testing.assert_allclose(out, want[:, None, None] * avg_mask[None], atol=1e-12)
@@ -131,15 +155,15 @@ def test_step_full_identity_and_mean_preservation():
     f2d = rng.standard_normal((8, 8))
     f = np.broadcast_to(f2d, (4, 8, 8)).copy()
     zero = np.zeros((4, 8, 8))
-    out = step_full(f, f.copy(), zero, zero, 0.3, 0.05, 1.0)
+    out = step_full(f, f.copy(), zero, 0.3, 0.05, 1.0)
     np.testing.assert_allclose(out, f, atol=1e-14)
     # the k=0 tau mode passes through derivative and resolvent untouched
     g = rng.standard_normal((4, 8, 8))
-    e1 = rng.standard_normal((4, 8, 8))
-    e2 = rng.standard_normal((4, 8, 8))
+    amplitude = rng.standard_normal((4, 8, 8))
     half = rng.standard_normal((4, 8, 8))
     dt = 0.07
-    out = step_full(g, half, e1, e2, 0.3, dt, 1.0)
+    out = step_full(g, half, amplitude, 0.3, dt, 1.0)
+    e1, e2 = field_pair(amplitude, TorusGrid(4).nodes)
     want = averaging.project_mean(g - dt * flux(e1, e2, half, 1.0))
     np.testing.assert_allclose(averaging.project_mean(out), want, atol=1e-14)
 
@@ -159,8 +183,7 @@ def test_step_full_reduces_to_classical_lw():
     tension = get_tension("cos2sq")
     e1, e2 = sample_applied_field(tension, torus, grid)
     eps, dt = 1e15, 0.02
-    fh = step_half(f, e1, e2, eps, dt, grid.delta_xi)
-    out = step_full(f, fh, e1, e2, eps, dt, grid.delta_xi)
+    out = APSolver(grid, torus, tension, eps).advance(f, dt)
     for l in range(8):
         want = lw_two_step(f[l], e1[l], e2[l], e1[l], e2[l], dt, grid.delta_xi)
         np.testing.assert_allclose(out[l], want, atol=1e-13)
