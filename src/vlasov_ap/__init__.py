@@ -29,7 +29,7 @@ from .errors import (
     ZeroField,
     ZeroReference,
 )
-from .fields import TENSIONS, applied_field, density, get_tension, radial_field
+from .fields import TENSIONS, density, get_tension, radial_field
 from .harness import (
     RunConfig,
     RunResult,
@@ -64,7 +64,6 @@ __all__ = [
     "TorusGrid",
     "ZeroField",
     "ZeroReference",
-    "applied_field",
     "cfl_dt",
     "convergence_study",
     "density",

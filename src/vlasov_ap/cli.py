@@ -16,7 +16,10 @@ from .errors import StabilityFailure
 
 
 def _floats(text: str) -> list[float]:
-    return [float(p) for p in text.replace(",", " ").split()]
+    values = [float(p) for p in text.replace(",", " ").split()]
+    if not values:
+        raise argparse.ArgumentTypeError("expected at least one number")
+    return values
 
 
 def _add_config_arguments(p: argparse.ArgumentParser):

@@ -78,19 +78,6 @@ def applied_amplitude(tension: Tension, tau, xi1, xi2):
     return tension(tau) * (xi1 * np.cos(tau) + xi2 * np.sin(tau))
 
 
-def applied_field(tension: Tension, tau, xi1, xi2):
-    """Applied (lattice) field at angle tau and position xi; broadcasts over inputs."""
-    g = applied_amplitude(tension, tau, xi1, xi2)
-    return -g * np.sin(tau), g * np.cos(tau)
-
-
-def sample_applied_field(tension: Tension, torus: TorusGrid, phase: PhaseGrid):
-    """Applied field on the full (tau, xi) grid, shape (n_tau, n, n) per component."""
-    x1, x2 = phase.mesh()
-    tau = torus.nodes.reshape(-1, 1, 1)
-    return applied_field(tension, tau, x1[None], x2[None])
-
-
 def density(f_rv: np.ndarray, delta_xi: float) -> np.ndarray:
     """Charge density rho(r) = integral f dv, Riemann sum over the v axis (last axis)."""
     return delta_xi * np.asarray(f_rv).sum(axis=-1)

@@ -102,11 +102,11 @@ class RunConfig:
             raise ValueError("scheme=diffusion has no self-field; it needs mode=linear")
         if self.rms_every < 1:
             raise ValueError(f"rms_every must be at least 1, got {self.rms_every}")
-        # powers of two keep the FFTs honest
+        # powers of two keep the FFTs honest; the grids need at least 4 nodes
         for name in ("n_points", "n_tau"):
             v = getattr(self, name)
-            if v & (v - 1):
-                raise ValueError(f"{name} must be a power of two, got {v}")
+            if v < 4 or v & (v - 1):
+                raise ValueError(f"{name} must be a power of two and at least 4, got {v}")
         # the reference is a run on reference_n nodes restricted node for node
         ratio, rest = divmod(self.reference_n, self.n_points)
         if rest or ratio & (ratio - 1):
@@ -257,7 +257,6 @@ class RunResult:
     n_steps: int
     records: list[DiagnosticsRecord] = field(default_factory=list)
     f_tilde: np.ndarray | None = None
-    f_rv: np.ndarray | None = None
     max_negative: float = 0.0
     output_dir: Path | None = None
 
@@ -298,9 +297,11 @@ def _ap_scheme(config: RunConfig):
     state = solver.initial_state(config.init)
     dt_hint = config.delta_t or solver.suggest_dt(state)
 
-    def observe(state, t):
+    def observe(state, t, snapshot):
         mass = total_mass(averaging.project_mean(state), solver.phase)
-        return (*solver.readout(state, t), mass)
+        if snapshot:
+            return (*solver.readout(state, t), mass)
+        return averaging.eval_at_tau(state, (t / config.epsilon) % (2.0 * np.pi)), None, mass
 
     return state, dt_hint, _stepwise(solver.advance), observe
 
@@ -316,9 +317,12 @@ def _diffusion_scheme(config: RunConfig):
         f0_params=config.f0_params(),
     )
 
-    def observe(gh, t):
+    def observe(gh, t, snapshot):
         g, h = gh
-        return (*solver.readout(g, h, t), total_mass(g + averaging.project_mean(h), solver.phase))
+        mass = total_mass(g + averaging.project_mean(h), solver.phase)
+        if snapshot:
+            return (*solver.readout(g, h, t), mass)
+        return averaging.eval_at_tau(g[None] + h, (t / config.epsilon ** 2) % (2.0 * np.pi)), None, mass
 
     advance = _stepwise(lambda gh, dt: solver.step(*gh, dt))
     return solver.initial_split(config.init), config.delta_t, advance, observe
@@ -334,7 +338,7 @@ def _splitting_scheme(config: RunConfig):
     )
     dt_hint = config.delta_t or config.reference_dt_factor * min(config.epsilon, 1.0)
 
-    def observe(f_rv, t):
+    def observe(f_rv, t, snapshot):
         f_tilde = reference.filtered_from_rv(f_rv, solver.phase, t, config.epsilon)
         return f_tilde, f_rv, total_mass(f_rv, solver.phase)
 
@@ -348,9 +352,11 @@ def _model_scheme(config: RunConfig):
     f0p = config.f0_params()
     eps = config.epsilon
 
-    def observe(_, t):
+    def observe(_, t, snapshot):
         f_tilde = reference.model_solution(config.scheme, t, eps, x1, x2, f0p)
-        f_rv = reference.model_solution(config.scheme, t, eps, *rotate_to_xi(t / eps, x1, x2), f0p)
+        f_rv = None
+        if snapshot:
+            f_rv = reference.model_solution(config.scheme, t, eps, *rotate_to_xi(t / eps, x1, x2), f0p)
         return f_tilde, f_rv, total_mass(f_tilde, grid)
 
     dt_hint = config.delta_t or (config.t_final / 256.0 or 1.0)
@@ -370,12 +376,13 @@ def run(config: RunConfig, write: bool = True) -> RunResult:
     """Execute one run and (optionally) write rms.csv and meta.txt.
 
     Each scheme supplies its initial state, a step hint, an advance from step
-    k0 to step k1 and an observation (f~, f_rv, mass) at time t; this loop
-    alone decides where to observe.  It observes step 0, every rms_every-th
-    step, the last step and every snapshot step, and only at those steps, so
-    the splitting scheme fuses its half drifts everywhere else; each span
-    between two observed steps is one advance call.  Snapshot files are
-    written whether or not ``write`` is set.
+    k0 to step k1 and an observation (f~, f_rv, mass) at time t, whose
+    lab-frame f_rv is built for snapshot steps only (None elsewhere); this
+    loop alone decides where to observe.  It observes step 0, every
+    rms_every-th step, the last step and every snapshot step, and only at
+    those steps, so the splitting scheme fuses its half drifts everywhere
+    else; each span between two observed steps is one advance call.
+    Snapshot files are written whether or not ``write`` is set.
     """
     state, dt_hint, advance, observe = _SCHEME_SETUPS[config.scheme](config)
     n_steps, dt = _resolve_steps(config, dt_hint)
@@ -390,7 +397,7 @@ def run(config: RunConfig, write: bool = True) -> RunResult:
             state = advance(state, k0, k, dt)
         k0 = k
         t = k * dt
-        f_tilde, f_rv, mass = observe(state, t)
+        f_tilde, f_rv, mass = observe(state, t, k in snaps)
         if k % every == 0 or k == n_steps:
             frac = boundary_mass_fraction(f_tilde)
             result.records.append(DiagnosticsRecord(t, rms(f_tilde, grid), mass, frac))
@@ -404,7 +411,7 @@ def run(config: RunConfig, write: bool = True) -> RunResult:
                 warned = True
         if k in snaps:
             _write_snapshot(result, t, f_tilde, f_rv, grid)
-    result.f_tilde, result.f_rv = f_tilde, f_rv
+    result.f_tilde = f_tilde
     if write:
         _write_outputs(result)
     return result

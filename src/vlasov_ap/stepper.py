@@ -33,7 +33,9 @@ from F and Q from F*, each used for one product and freed.
 
 A micro-macro variant of the same pattern handles the longer diffusion time
 scale, where the tension is mean-free and the solution is split as
-F = G + h with G = Pi F.
+F = G + h with G = Pi F.  Its xi parts are xi_operator matrices too: Phi of
+the applied field, built once, and the four-point average of one (n, n)
+slice, applied to every slice.
 """
 from __future__ import annotations
 
@@ -45,37 +47,8 @@ from .domain import PhaseGrid, TorusGrid, initial_distribution, rotate_to_xi
 from .errors import NonMeanFreeTension, StabilityFailure, ZeroField
 
 
-def flux(e1: np.ndarray, e2: np.ndarray, f: np.ndarray, delta_xi: float) -> np.ndarray:
-    """Centered conservative transport term Phi(F) ~ div_xi(E F).
-
-    Acts on the last two axes; f may be (n, n) or (n_tau, n, n) and is
-    broadcast against the field sample.  Ghost values outside the grid are
-    zero, which encodes the compact-support boundary condition.
-    """
-    a = e1 * f
-    b = e2 * f
-    out = np.zeros(a.shape)
-    out[..., :-1, :] += a[..., 1:, :]
-    out[..., 1:, :] -= a[..., :-1, :]
-    out[..., :, :-1] += b[..., :, 1:]
-    out[..., :, 1:] -= b[..., :, :-1]
-    out /= 2.0 * delta_xi
-    return out
-
-
-def four_point_average(f: np.ndarray) -> np.ndarray:
-    """Mean of the four lateral neighbours, zero ghosts outside the grid."""
-    out = np.zeros(np.shape(f))
-    out[..., :-1, :] += f[..., 1:, :]
-    out[..., 1:, :] += f[..., :-1, :]
-    out[..., :, :-1] += f[..., :, 1:]
-    out[..., :, 1:] += f[..., :, :-1]
-    out *= 0.25
-    return out
-
-
 def xi_operator(g: np.ndarray, tau: np.ndarray, delta_xi: float, c_avg: float, c_flux: float):
-    """c_avg * four_point_average + c_flux * Phi for the field g (-sin tau, cos tau), as a DIA matrix.
+    """c_avg * (four-point average) + c_flux * Phi for the field g (-sin tau, cos tau), as a DIA matrix.
 
     g has the state's shape (n_tau, n, n) and tau its n_tau angles; the
     operator acts on that state, flattened.  The offsets are (n, -n, 1, -1),
@@ -256,14 +229,18 @@ class DiffusionSolver:
         self.tension = tension
         self.epsilon = epsilon
         self.transport = APSolver(phase, torus, tension, epsilon, f0_params=f0_params)
-        e1, e2 = fields.sample_applied_field(tension, torus, phase)
+        e1, e2 = self.transport.total_field(None)  # linear mode: the applied field for any state
         sup = max(np.abs(e1).max(), np.abs(e2).max())
         mean_sup = max(np.abs(e1.mean(axis=0)).max(), np.abs(e2.mean(axis=0)).max())
         if sup > 0 and mean_sup > 1e-10 * sup:
             raise NonMeanFreeTension(
                 f"tension {tension.name!r} leaves a mean field of size {mean_sup:.3e}"
             )
-        self.applied = (e1, e2)
+        del e1, e2  # freed before the operators are built
+        dxi, n = phase.delta_xi, phase.n_points
+        # Phi of the applied field on a state, and the four-point average of one (n, n) slice
+        self._flux = xi_operator(self.transport.applied_amplitude, torus.nodes, dxi, 0.0, 1.0)
+        self._average = xi_operator(np.zeros((1, n, n)), torus.nodes[:1], dxi, 1.0, 0.0)
 
     def initial_split(self, init: str = "corrected"):
         """(G0, h0) from the same well-prepared data as the transport solver."""
@@ -275,26 +252,29 @@ class DiffusionSolver:
         theta = (t / self.epsilon ** 2) % (2.0 * np.pi)
         return self.transport.readout_at(g[None] + h, theta)
 
+    def _phi(self, f: np.ndarray) -> np.ndarray:
+        """Phi(f) for the applied field; f has the state's shape."""
+        return (self._flux @ f.ravel()).reshape(f.shape)
+
+    def _avg(self, f: np.ndarray) -> np.ndarray:
+        """Four-point average of each (n, n) slice of f."""
+        slices = f.reshape(-1, self._average.shape[1])
+        return (self._average @ slices.T).T.reshape(f.shape)
+
     def step(self, g: np.ndarray, h: np.ndarray, dt: float):
         """One micro-macro step; G is advanced explicitly, h through the resolvent."""
         eps = self.epsilon
-        dxi = self.phase.delta_xi
-        e1, e2 = self.applied
         lam = dt / (2.0 * eps ** 2)
+        c = dt / (2.0 * eps)
 
-        g_half = four_point_average(g) - (dt / (2.0 * eps)) * averaging.project_mean(
-            flux(e1, e2, h, dxi)
-        )
-        rhs = four_point_average(h) - (dt / (2.0 * eps)) * averaging.fluctuation(
-            flux(e1, e2, g_half[None] + h, dxi)
-        )
+        g_half = self._avg(g) - c * averaging.project_mean(self._phi(h))
+        rhs = self._avg(h) - c * averaging.fluctuation(self._phi(g_half[None] + h))
         h_half = averaging.solve_implicit_tau(rhs, lam)
 
-        g_new = g - (dt / eps) * averaging.project_mean(flux(e1, e2, h_half, dxi))
+        g_new = g - (dt / eps) * averaging.project_mean(self._phi(h_half))
         rhs = (
             h
-            - (dt / eps)
-            * averaging.fluctuation(flux(e1, e2, 0.5 * (g_new + g)[None] + h_half, dxi))
+            - (dt / eps) * averaging.fluctuation(self._phi(0.5 * (g_new + g)[None] + h_half))
             - lam * averaging.spectral_derivative(h)
         )
         h_new = averaging.solve_implicit_tau(rhs, lam)

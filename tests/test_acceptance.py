@@ -14,11 +14,13 @@ import time
 
 import numpy as np
 import pytest
+from test_fields import applied_pair
 from test_reference import drift_coupling_matrix, effective_hamiltonian
+from test_stepper import pad_flux
 
 from vlasov_ap import averaging
 from vlasov_ap.domain import PhaseGrid, TorusGrid
-from vlasov_ap.fields import get_tension, sample_applied_field
+from vlasov_ap.fields import get_tension
 from vlasov_ap.harness import (
     RunConfig,
     reference_filtered,
@@ -35,7 +37,7 @@ from vlasov_ap.reference import (
     rotation_rate,
     second_order_solution,
 )
-from vlasov_ap.stepper import APSolver, DiffusionSolver, flux
+from vlasov_ap.stepper import APSolver, DiffusionSolver
 
 
 def band_limited(rng, n_tau, shape, n_modes=6):
@@ -87,7 +89,7 @@ def test_criterion_2_linear_analytics():
     torus = TorusGrid(64)
     tension = get_tension("cos2sq")
     x1, x2 = phase.mesh()
-    e1, e2 = sample_applied_field(tension, torus, phase)
+    e1, e2 = applied_pair(tension, torus.nodes[:, None, None], x1, x2)
     worst = 0.0
 
     worst = max(worst, np.abs(averaging.project_mean(e1) + x2 / 4).max())
@@ -371,7 +373,7 @@ def test_criterion_8_micro_macro_invariants():
             f = solver.advance(f, dt)
             g = averaging.project_mean(f)
             closure = averaging.invert_derivative(
-                averaging.fluctuation(flux(e1, e2, np.broadcast_to(g, f.shape), dxi))
+                averaging.fluctuation(pad_flux(e1, e2, np.broadcast_to(g, f.shape), dxi))
             )
             resid = np.abs((f - g[None]) + eps * closure).max()
             ratio = max(ratio, resid / (eps ** 2 + eps * dt))
@@ -392,7 +394,8 @@ def test_criterion_9_diffusion_scaling():
     torus = TorusGrid(32)
     tension = get_tension("cos4")
     dxi = phase.delta_xi
-    e1, e2 = sample_applied_field(tension, torus, phase)
+    x1, x2 = phase.mesh()
+    e1, e2 = applied_pair(tension, torus.nodes[:, None, None], x1, x2)
     mean_sup = max(np.abs(e1.mean(axis=0)).max(), np.abs(e2.mean(axis=0)).max())
     assert mean_sup <= 1e-12
 
@@ -409,9 +412,9 @@ def test_criterion_9_diffusion_scaling():
     # the macro part must track a direct midpoint discretization of the
     # averaged double-transport equation on the same grid
     def limit_rhs(gg):
-        inner = flux(e1, e2, np.broadcast_to(gg, e1.shape), dxi)
+        inner = pad_flux(e1, e2, np.broadcast_to(gg, e1.shape), dxi)
         middle = averaging.invert_derivative(averaging.fluctuation(inner))
-        return averaging.project_mean(flux(e1, e2, middle, dxi))
+        return averaging.project_mean(pad_flux(e1, e2, middle, dxi))
 
     eps = 0.01
     solver = DiffusionSolver(phase, torus, tension, eps)

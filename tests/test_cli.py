@@ -110,6 +110,23 @@ def test_config_mistakes_exit_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", ["n_points=0", "n_points=2", "n_tau=0", "n_tau=-4"])
+def test_grid_sizes_below_four_exit_2(bad, tmp_path, capsys):
+    cfg = write_config(tmp_path / "run.cfg", output_dir=tmp_path / "out")
+    assert main(["run", cfg, "--set", bad]) == 2
+    assert f"error: {bad.split('=')[0]} must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["table", "--eps", ""], ["converge", "--dt", "", "--eps", "0.1"]])
+def test_empty_study_lists_exit_2(argv, tmp_path, capsys):
+    cfg = write_config(tmp_path / "run.cfg", output_dir=tmp_path / "out")
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], cfg, *argv[1:]])
+    assert exc.value.code == 2
+    assert "expected at least one number" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_diffusion_needs_explicit_step(tmp_path, capsys):
     cfg = write_config(tmp_path / "run.cfg", delta_t=None, tension="cos4",
                        output_dir=tmp_path / "out")

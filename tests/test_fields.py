@@ -13,16 +13,26 @@ from vlasov_ap.averaging import project_mean
 from vlasov_ap.domain import PhaseGrid, TorusGrid, initial_distribution, rotate_to_xi
 from vlasov_ap.fields import (
     FrameRotator,
-    applied_field,
+    applied_amplitude,
     density,
     get_tension,
     radial_field,
-    sample_applied_field,
     sample_plane,
     self_field,
 )
+from vlasov_ap.stepper import APSolver
 
 RHO_AXIS = 3.9999999383309683  # 4 erf(4), density of the beam profile at r = 0
+
+
+def field_pair(g, tau):
+    """The field g (-sin tau, cos tau) of an amplitude g, as its two components."""
+    return -np.sin(tau) * g, np.cos(tau) * g
+
+
+def applied_pair(tension, tau, xi1, xi2):
+    """The applied field's two components, from applied_amplitude; broadcasts over inputs."""
+    return field_pair(applied_amplitude(tension, tau, xi1, xi2), tau)
 
 
 def test_tension_values():
@@ -48,7 +58,7 @@ def test_tension_integral():
 
 def test_applied_field_at_zero():
     a = get_tension("cos2sq")
-    e1, e2 = applied_field(a, 0.0, 1.7, -0.4)
+    e1, e2 = applied_pair(a, 0.0, 1.7, -0.4)
     assert e1 == 0.0
     assert e2 == 1.7
 
@@ -58,24 +68,25 @@ def test_applied_field_average():
     a = get_tension("cos2sq")
     torus = TorusGrid(64)
     xi1, xi2 = 0.8, -1.1
-    e1, e2 = applied_field(a, torus.nodes, xi1, xi2)
+    e1, e2 = applied_pair(a, torus.nodes, xi1, xi2)
     assert abs(project_mean(e1) - (-xi2 / 4)) < 1e-13
     assert abs(project_mean(e2) - (xi1 / 4)) < 1e-13
     # the diffusion-regime tension averages to zero instead
     b = get_tension("cos4")
-    e1, e2 = applied_field(b, torus.nodes, xi1, xi2)
+    e1, e2 = applied_pair(b, torus.nodes, xi1, xi2)
     assert abs(project_mean(e1)) < 1e-13
     assert abs(project_mean(e2)) < 1e-13
 
 
 def test_sample_applied_field_matches_pointwise():
+    # the applied field a linear-mode solver samples on the (tau, xi) grid
     a = get_tension("cos2sq")
     phase = PhaseGrid(16)
     torus = TorusGrid(8)
-    e1, e2 = sample_applied_field(a, torus, phase)
+    e1, e2 = APSolver(phase, torus, a, 0.5).total_field(None)
     x1, x2 = phase.mesh()
     l = 3
-    w1, w2 = applied_field(a, torus.nodes[l], x1, x2)
+    w1, w2 = applied_pair(a, torus.nodes[l], x1, x2)
     np.testing.assert_allclose(e1[l], w1, atol=1e-15)
     np.testing.assert_allclose(e2[l], w2, atol=1e-15)
 
@@ -199,9 +210,7 @@ def _self_field_loops(state, phase, torus):
 
 def self_field_pair(state, rotator):
     """The self-field components: (-sin tau, cos tau) times the amplitude self_field returns."""
-    g = self_field(state, rotator)
-    tau = rotator.torus.nodes[:, None, None]
-    return -np.sin(tau) * g, np.cos(tau) * g
+    return field_pair(self_field(state, rotator), rotator.torus.nodes[:, None, None])
 
 
 def test_self_field_zero_state():

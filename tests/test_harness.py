@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vlasov_ap import harness
+from vlasov_ap import fields, harness, reference
 from vlasov_ap.domain import PhaseGrid, initial_distribution
 from vlasov_ap.errors import StabilityFailure, ZeroReference
 from vlasov_ap.fields import get_tension
@@ -39,6 +39,8 @@ def test_config_rejects_bad_values():
         dict(good, delta_t=-0.02),
         dict(good, n_points=100),
         dict(good, n_tau=48),
+        dict(good, n_points=0),
+        dict(good, n_tau=2),
     ):
         with pytest.raises(ValueError):
             RunConfig(**bad)
@@ -245,6 +247,26 @@ def test_every_scheme_observes_exactly_the_scheduled_steps(scheme, tmp_path, mon
         calls.update(_drift=0, _kick=0)
         run(cfg.replace(snapshot_times=()), write=False)
         assert calls == {"_drift": 10, "_kick": 8}
+
+
+def test_lab_frame_is_built_for_snapshot_steps_only(tmp_path, monkeypatch):
+    models, planes = [], []
+    model, plane = reference.model_solution, fields.sample_plane
+    monkeypatch.setattr(reference, "model_solution", lambda *a: models.append(1) or model(*a))
+    monkeypatch.setattr(fields, "sample_plane", lambda *a, **k: planes.append(1) or plane(*a, **k))
+    # a table row reads f~ of each closed form at step 0 and at t_final, no lab frame
+    cfg = RunConfig(epsilon=0.5, t_final=0.1, n_points=32, n_tau=16, output_dir=str(tmp_path))
+    table_study(cfg, eps_list=(0.5,), write=False)
+    assert len(models) == 4
+    # rows at steps 0, 4 and 8 and a snapshot at step 3: one lab frame, for the snapshot
+    cfg = cfg.replace(delta_t=0.0125, rms_every=4, snapshot_times=(0.0375,))
+    models.clear()
+    run(cfg.replace(scheme="limit"), write=False)
+    assert len(models) == 5
+    for scheme, tension in (("ap", "cos2sq"), ("diffusion", "cos4")):
+        planes.clear()
+        run(cfg.replace(scheme=scheme, tension=tension), write=False)
+        assert len(planes) == 1, scheme
 
 
 def test_snapshot_requests_on_one_step_share_a_file(tmp_path):

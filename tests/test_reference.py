@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from test_fields import applied_pair
 
 from vlasov_ap import averaging
 from vlasov_ap.domain import PhaseGrid, initial_distribution, rotate_to_xi
-from vlasov_ap.fields import Tension, applied_field, get_tension
+from vlasov_ap.fields import Tension, get_tension
 from vlasov_ap.reference import (
     SplittingSolver,
     constant_drift,
@@ -29,7 +30,7 @@ def effective_hamiltonian(xi1, xi2, tension: Tension, n_tau: int = 64):
     """
     tau = (2.0 * np.pi / n_tau) * np.arange(n_tau)
     shape = (-1,) + (1,) * np.ndim(xi1)
-    e1, e2 = applied_field(tension, tau.reshape(shape), np.asarray(xi1)[None], np.asarray(xi2)[None])
+    e1, e2 = applied_pair(tension, tau.reshape(shape), np.asarray(xi1)[None], np.asarray(xi2)[None])
     a1 = np.fft.rfft(e1, axis=0) / n_tau
     a2 = np.fft.rfft(e2, axis=0) / n_tau
     k = np.arange(1, a1.shape[0] - 1).reshape(shape)
@@ -43,7 +44,7 @@ def drift_coupling_matrix(tension: Tension, xi1: float, xi2: float, n_tau: int =
     the (1, 2) entry equals D(xi).
     """
     tau = (2.0 * np.pi / n_tau) * np.arange(n_tau)
-    e = np.stack(applied_field(tension, tau, xi1, xi2))  # (2, n_tau)
+    e = np.stack(applied_pair(tension, tau, xi1, xi2))  # (2, n_tau)
     prim = np.stack([averaging.invert_derivative(averaging.fluctuation(ei)) for ei in e])
     return -np.einsum("it,jt->ij", e, prim) / n_tau
 
@@ -74,7 +75,7 @@ def test_limit_solution_against_characteristics():
     tau = (2.0 * np.pi / 64) * np.arange(64)
 
     def averaged_field(xi):
-        e1, e2 = applied_field(tension, tau, xi[0], xi[1])
+        e1, e2 = applied_pair(tension, tau, xi[0], xi[1])
         return np.array([e1.mean(), e2.mean()])
 
     t = 1.7

@@ -9,19 +9,16 @@ the one-step accuracy by Richardson extrapolation.
 import numpy as np
 import pytest
 from test_averaging import derivative_symbol, fourier_tau, resolvent_symbol
+from test_fields import applied_pair, field_pair
 
 from vlasov_ap import averaging
 from vlasov_ap.domain import PhaseGrid, TorusGrid, initial_distribution
 from vlasov_ap.errors import NonMeanFreeTension, StabilityFailure, ZeroField
-from vlasov_ap.fields import applied_amplitude, get_tension, sample_applied_field
-from vlasov_ap.stepper import (
-    APSolver,
-    DiffusionSolver,
-    cfl_dt,
-    flux,
-    four_point_average,
-    xi_operator,
-)
+from vlasov_ap.fields import Tension, applied_amplitude, get_tension
+from vlasov_ap.stepper import APSolver, DiffusionSolver, cfl_dt, xi_operator
+
+# a = 1: the applied amplitude xi1 cos tau + xi2 sin tau, whose field is divergence-free
+UNIT_TENSION = Tension("one", np.ones_like, lambda t: t)
 
 
 def pad_flux(e1, e2, f, dxi):
@@ -39,56 +36,68 @@ def pad_average(f):
     return 0.25 * (p[..., 2:, 1:-1] + p[..., :-2, 1:-1] + p[..., 1:-1, 2:] + p[..., 1:-1, :-2])
 
 
+def apply_xi(g, tau, delta_xi, c_avg, c_flux, f):
+    """xi_operator(g, tau, ...) applied to a state f of g's shape."""
+    return (xi_operator(g, tau, delta_xi, c_avg, c_flux) @ f.ravel()).reshape(f.shape)
+
+
 def test_flux_rotation_field_on_constant():
     grid = PhaseGrid(16)
     x1, x2 = grid.mesh()
-    e1, e2 = -x2[None], x1[None]
+    tau = TorusGrid(4).nodes
+    g = applied_amplitude(UNIT_TENSION, tau[:, None, None], x1, x2)
     f = np.full((4, 16, 16), 2.0)
-    phi = flux(e1, e2, f, grid.delta_xi)
+    phi = apply_xi(g, tau, grid.delta_xi, 0.0, 1.0, f)
     np.testing.assert_allclose(phi[:, 1:-1, 1:-1], 0.0, atol=1e-14)
 
 
 def test_flux_constant_field_linear_profile():
     grid = PhaseGrid(16)
-    x1, _ = grid.mesh()
+    x1, x2 = grid.mesh()
     c = 0.7
-    phi = flux(np.full((1, 16, 16), c), np.zeros((1, 16, 16)), x1[None], grid.delta_xi)
-    np.testing.assert_allclose(phi[0, 1:-1, 1:-1], c, atol=1e-14)
+    # the amplitude c is the field (c, 0) at tau = 3 pi/2 and (0, c) at tau = 0
+    tau = np.array([1.5 * np.pi, 0.0])
+    phi = apply_xi(np.full((2, 16, 16), c), tau, grid.delta_xi, 0.0, 1.0, np.stack([x1, x2]))
+    np.testing.assert_allclose(phi[:, 1:-1, 1:-1], c, atol=1e-14)
+    # the last row sees a zero ghost beyond the edge
+    want = -c * x1[-2, 1:-1] / (2.0 * grid.delta_xi)
+    np.testing.assert_allclose(phi[0, -1, 1:-1], want, atol=1e-14)
 
 
 def test_flux_against_pad_oracle():
     rng = np.random.default_rng(12)
-    e1 = rng.standard_normal((4, 8, 8))
-    e2 = rng.standard_normal((4, 8, 8))
+    tau = rng.uniform(0.0, 2.0 * np.pi, 4)
+    g = rng.standard_normal((4, 8, 8))
     f = rng.standard_normal((4, 8, 8))
-    np.testing.assert_allclose(flux(e1, e2, f, 0.5), pad_flux(e1, e2, f, 0.5), atol=1e-14)
-    # a field sampled once on (n, n) against a tau-dependent, non-contiguous state
+    e1, e2 = field_pair(g, tau[:, None, None])
+    np.testing.assert_allclose(apply_xi(g, tau, 0.5, 0.0, 1.0, f), pad_flux(e1, e2, f, 0.5), atol=1e-14)
+    # a tau-independent amplitude against a non-contiguous state
+    g = np.broadcast_to(g[0], (5, 8, 8))
+    tau = rng.uniform(0.0, 2.0 * np.pi, 5)
     f = rng.standard_normal((8, 5, 8)).transpose(1, 0, 2)
-    phi = flux(e1[0], e2[0], f, 0.5)
+    e1, e2 = field_pair(g, tau[:, None, None])
+    phi = apply_xi(g, tau, 0.5, 0.0, 1.0, f)
     assert phi.shape == (5, 8, 8)
-    np.testing.assert_allclose(phi, pad_flux(e1[0], e2[0], f, 0.5), atol=1e-14)
+    np.testing.assert_allclose(phi, pad_flux(e1, e2, f, 0.5), atol=1e-14)
 
 
 def test_four_point_average():
+    def average(f):
+        return apply_xi(np.zeros(f.shape), np.zeros(f.shape[0]), 1.0, 1.0, 0.0, f)
+
     f = np.full((1, 6, 6), 4.0)
-    avg = four_point_average(f)
+    avg = average(f)
     assert avg[0, 3, 3] == 4.0
     assert avg[0, 0, 3] == 3.0  # edge: one ghost neighbour
     assert avg[0, 0, 0] == 2.0  # corner: two ghost neighbours
     grid = PhaseGrid(8)
     x1, _ = grid.mesh()
-    np.testing.assert_allclose(four_point_average(x1)[1:-1, 1:-1], x1[1:-1, 1:-1], atol=1e-14)
+    np.testing.assert_allclose(average(x1[None])[0, 1:-1, 1:-1], x1[1:-1, 1:-1], atol=1e-14)
     rng = np.random.default_rng(13)
     r = rng.standard_normal((3, 8, 8))
-    np.testing.assert_allclose(four_point_average(r), pad_average(r), atol=1e-15)
+    np.testing.assert_allclose(average(r), pad_average(r), atol=1e-15)
     r = rng.standard_normal((8, 3, 8)).transpose(1, 0, 2)
-    np.testing.assert_allclose(four_point_average(r), pad_average(r), atol=1e-15)
-
-
-def field_pair(g, tau):
-    """The field g (-sin tau, cos tau) of an amplitude g on (n_tau, n, n)."""
-    tau = np.reshape(tau, (-1, 1, 1))
-    return -np.sin(tau) * g, np.cos(tau) * g
+    np.testing.assert_allclose(average(r), pad_average(r), atol=1e-15)
 
 
 @pytest.mark.parametrize("shape", [(4, 8, 8), (3, 5, 5), (16, 32, 32)])
@@ -101,10 +110,10 @@ def test_xi_operator_matches_the_stencils(shape):
     applied = applied_amplitude(get_tension("cos2sq"), tau[:, None, None], x1, x2)
     # the applied amplitude, and an arbitrary one such as a poisson stage builds
     for g in (applied, rng.standard_normal(shape)):
-        e1, e2 = field_pair(g, tau)
+        e1, e2 = field_pair(g, tau[:, None, None])
         for a, b in ((1.0, -0.01), (0.0, -0.02), (0.7, 1.3), (1.0, 0.0)):
-            got = (xi_operator(g, tau, dxi, a, b) @ f.ravel()).reshape(shape)
-            want = a * four_point_average(f) + b * flux(e1, e2, f, dxi)
+            got = apply_xi(g, tau, dxi, a, b, f)
+            want = a * pad_average(f) + b * pad_flux(e1, e2, f, dxi)
             # the whole array, edge rows and columns of every slice included
             assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
@@ -130,11 +139,11 @@ def test_step_half_trivial_cases():
     zero = np.zeros((8, 8, 8))
     # no field, tau-independent state: the resolvent is the identity
     out = step_half(f, zero, 0.5, 0.1, 1.0)
-    np.testing.assert_allclose(out, four_point_average(f), atol=1e-13)
+    np.testing.assert_allclose(out, pad_average(f), atol=1e-13)
     # dt -> 0 recovers the four-point average on any state
     g = rng.standard_normal((8, 8, 8))
     out = step_half(g, zero + 2.0, 0.5, 1e-12, 1.0)
-    np.testing.assert_allclose(out, four_point_average(g), atol=1e-10)
+    np.testing.assert_allclose(out, pad_average(g), atol=1e-10)
 
 
 def test_step_half_resolvent_harmonic():
@@ -146,7 +155,7 @@ def test_step_half_resolvent_harmonic():
     zero = np.zeros((32, 8, 8))
     out = step_half(f, zero, eps, dt, 1.0)
     want = (np.cos(torus.nodes) + lam * np.sin(torus.nodes)) / (1 + lam ** 2)
-    avg_mask = four_point_average(np.ones((8, 8)))
+    avg_mask = pad_average(np.ones((8, 8)))
     np.testing.assert_allclose(out, want[:, None, None] * avg_mask[None], atol=1e-12)
 
 
@@ -163,14 +172,14 @@ def test_step_full_identity_and_mean_preservation():
     half = rng.standard_normal((4, 8, 8))
     dt = 0.07
     out = step_full(g, half, amplitude, 0.3, dt, 1.0)
-    e1, e2 = field_pair(amplitude, TorusGrid(4).nodes)
-    want = averaging.project_mean(g - dt * flux(e1, e2, half, 1.0))
+    e1, e2 = field_pair(amplitude, TorusGrid(4).nodes[:, None, None])
+    want = averaging.project_mean(g - dt * pad_flux(e1, e2, half, 1.0))
     np.testing.assert_allclose(averaging.project_mean(out), want, atol=1e-14)
 
 
 def lw_two_step(f, e1_n, e2_n, e1_h, e2_h, dt, dxi):
     """Classical non-stiff Lax-Wendroff-Richtmyer update on one 2D slice."""
-    fh = four_point_average(f) - 0.5 * dt * pad_flux(e1_n, e2_n, f, dxi)
+    fh = pad_average(f) - 0.5 * dt * pad_flux(e1_n, e2_n, f, dxi)
     return f - dt * pad_flux(e1_h, e2_h, fh, dxi)
 
 
@@ -181,7 +190,8 @@ def test_step_full_reduces_to_classical_lw():
     rng = np.random.default_rng(16)
     f = rng.standard_normal((8, 16, 16))
     tension = get_tension("cos2sq")
-    e1, e2 = sample_applied_field(tension, torus, grid)
+    x1, x2 = grid.mesh()
+    e1, e2 = applied_pair(tension, torus.nodes[:, None, None], x1, x2)
     eps, dt = 1e15, 0.02
     out = APSolver(grid, torus, tension, eps).advance(f, dt)
     for l in range(8):
@@ -211,7 +221,7 @@ def reference_advance(solver, f, dt):
 def reference_diffusion_step(solver, g, h, dt):
     """DiffusionSolver.step rebuilt the same way."""
     eps, dxi = solver.epsilon, solver.phase.delta_xi
-    e1, e2 = solver.applied
+    e1, e2 = field_pair(solver.transport.applied_amplitude, solver.torus.nodes[:, None, None])
     lam = dt / (2.0 * eps ** 2)
     c = dt / (2.0 * eps)
 
