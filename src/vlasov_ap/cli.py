@@ -12,7 +12,7 @@ import dataclasses
 import sys
 
 from . import harness
-from .errors import StabilityFailure
+from .errors import ZeroReference
 
 
 def _floats(text: str) -> list[float]:
@@ -123,7 +123,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (StabilityFailure, ZeroDivisionError, RuntimeError) as exc:
+    except (ZeroReference, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

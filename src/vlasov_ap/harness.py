@@ -9,7 +9,9 @@ with one of five schemes:
     second_order  closed-form first-order model (linear mode, cos2sq only)
     diffusion     micro-macro stepper for mean-free tensions
 
-All five go through the one loop in ``run``.  Outputs land in
+All five go through the one loop in ``run``.  The ``ap`` and ``diffusion``
+states are two-scale; ``_two_scale_readout`` reads either on the diagonal,
+at tau = t/eps and t/eps^2 respectively.  Outputs land in
 ``output_dir``: ``rms.csv`` (one DiagnosticsRecord at step 0, every
 ``rms_every``-th step and the last step), ``snapshot_<t>.csv`` (xi1, xi2,
 f_tilde, f_rv) and ``meta.txt`` with every resolved parameter.  A snapshot
@@ -41,12 +43,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import averaging, reference, stepper
+from . import averaging, fields, reference, stepper
 from .domain import PhaseGrid, TorusGrid, rotate_to_xi
 from .errors import StabilityFailure, ZeroReference
 from .fields import TENSIONS, get_tension
 
-SCHEMES = ("ap", "splitting", "limit", "second_order", "diffusion")
 FMT = "%.17g"
 # runs must keep their support interior; warn when the edge sees real mass.
 # the centered flux parks a ~1e-6 ripple tail near the rim at n = 64, while a
@@ -285,6 +286,21 @@ def _stepwise(step):
     return advance
 
 
+def _two_scale_readout(state: np.ndarray, theta: float, grid: PhaseGrid, snapshot: bool):
+    """f~ and, for a snapshot, f_rv of a two-scale state read on the diagonal tau = theta.
+
+    f~ is the trigonometric evaluation of the state at theta mod 2 pi; the
+    lab-frame f_rv samples f~ bilinearly at the rotated coordinates, and is
+    None when snapshot is false.
+    """
+    theta %= 2.0 * np.pi
+    f_tilde = averaging.eval_at_tau(state, theta)
+    if not snapshot:
+        return f_tilde, None
+    r, v = grid.mesh()
+    return f_tilde, fields.sample_plane(f_tilde, grid, *rotate_to_xi(theta, r, v), order=1)
+
+
 def _ap_scheme(config: RunConfig):
     solver = stepper.APSolver(
         config.phase(),
@@ -298,10 +314,8 @@ def _ap_scheme(config: RunConfig):
     dt_hint = config.delta_t or solver.suggest_dt(state)
 
     def observe(state, t, snapshot):
-        mass = total_mass(averaging.project_mean(state), solver.phase)
-        if snapshot:
-            return (*solver.readout(state, t), mass)
-        return averaging.eval_at_tau(state, (t / config.epsilon) % (2.0 * np.pi)), None, mass
+        f_tilde, f_rv = _two_scale_readout(state, t / config.epsilon, solver.phase, snapshot)
+        return f_tilde, f_rv, total_mass(averaging.project_mean(state), solver.phase)
 
     return state, dt_hint, _stepwise(solver.advance), observe
 
@@ -319,10 +333,8 @@ def _diffusion_scheme(config: RunConfig):
 
     def observe(gh, t, snapshot):
         g, h = gh
-        mass = total_mass(g + averaging.project_mean(h), solver.phase)
-        if snapshot:
-            return (*solver.readout(g, h, t), mass)
-        return averaging.eval_at_tau(g[None] + h, (t / config.epsilon ** 2) % (2.0 * np.pi)), None, mass
+        f_tilde, f_rv = _two_scale_readout(g[None] + h, t / config.epsilon ** 2, solver.phase, snapshot)
+        return f_tilde, f_rv, total_mass(g + averaging.project_mean(h), solver.phase)
 
     advance = _stepwise(lambda gh, dt: solver.step(*gh, dt))
     return solver.initial_split(config.init), config.delta_t, advance, observe
@@ -370,6 +382,7 @@ _SCHEME_SETUPS = {
     "second_order": _model_scheme,
     "diffusion": _diffusion_scheme,
 }
+SCHEMES = tuple(_SCHEME_SETUPS)
 
 
 def run(config: RunConfig, write: bool = True) -> RunResult:

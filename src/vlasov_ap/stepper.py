@@ -4,7 +4,8 @@ The augmented unknown F(t, tau, xi) obeys
 
     dF/dt + E(t, tau, xi) . grad_xi F = -(1/eps) dF/dtau,
 
-and the physical solution is read out on the diagonal tau = t/eps.  Time
+and the physical solution is read out on the diagonal tau = t/eps, by the
+run loop (harness._two_scale_readout); this module only steps F.  Time
 stepping follows a two-step Lax-Wendroff pattern in (t, xi): a predictor to
 t + dt/2 built on the four-point average, then a centered corrector.  The
 stiff tau-transport is treated by a Crank-Nicolson resolvent in Fourier
@@ -43,7 +44,7 @@ import numpy as np
 from scipy.sparse import dia_matrix
 
 from . import averaging, fields
-from .domain import PhaseGrid, TorusGrid, initial_distribution, rotate_to_xi
+from .domain import PhaseGrid, TorusGrid, initial_distribution
 from .errors import NonMeanFreeTension, StabilityFailure, ZeroField
 
 
@@ -139,6 +140,8 @@ class APSolver:
         The corrected variant evaluates f0 at xi - eps * S(tau, xi) with
         S the tau-antiderivative (from zero) of the mean-free part of the
         initial field.  Being a composition with f0 it stays nonnegative.
+        The shift is built from the amplitude g one field component at a
+        time, so no field pair is ever held.
         """
         x1, x2 = self.phase.mesh()
         nt = self.torus.n_tau
@@ -149,11 +152,15 @@ class APSolver:
             return plain
         if init != "corrected":
             raise ValueError(f"unknown init {init!r}")
-        e1, e2 = self.total_field(plain)
-        s1 = averaging.antiderivative_from_zero(averaging.fluctuation(e1))
-        s2 = averaging.antiderivative_from_zero(averaging.fluctuation(e2))
-        eps = self.epsilon
-        return initial_distribution(x1[None] - eps * s1, x2[None] - eps * s2, **self.f0_params)
+        g = self._field_amplitude(plain)
+        del plain
+        tau = self.torus.nodes.reshape(-1, 1, 1)
+        shifted = [
+            x - self.epsilon * averaging.antiderivative_from_zero(averaging.fluctuation(direction * g))
+            for x, direction in zip((x1, x2), (-np.sin(tau), np.cos(tau)))
+        ]
+        del g
+        return initial_distribution(*shifted, **self.f0_params)
 
     def advance(self, state: np.ndarray, dt: float) -> np.ndarray:
         """One step: the predictor F* = R(P F), then the corrector F+ = R(Q F* + (I - lam L) F)."""
@@ -190,30 +197,15 @@ class APSolver:
         e1, e2 = self.total_field(state)
         return cfl_dt(e1, e2, self.phase.delta_xi)
 
-    def readout(self, state: np.ndarray, t: float):
-        """Physical fields at time t: filtered f~(t, xi) and lab-frame f(t, r, v).
-
-        f~ is the trigonometric evaluation of the state at tau = t/eps; the
-        lab-frame field samples f~ bilinearly at the rotated coordinates.
-        """
-        return self.readout_at(state, (t / self.epsilon) % (2.0 * np.pi))
-
-    def readout_at(self, state: np.ndarray, theta: float):
-        """Same as readout but with the filter phase given directly."""
-        f_tilde = averaging.eval_at_tau(state, theta)
-        r, v = self.phase.mesh()
-        x1, x2 = rotate_to_xi(theta, r, v)
-        f_rv = fields.sample_plane(f_tilde, self.phase, x1, x2, order=1)
-        return f_tilde, f_rv
-
 
 class DiffusionSolver:
     """Micro-macro stepper for the diffusion time scale (tau = t/eps^2 driver).
 
     Requires a tension whose applied field is mean-free on the torus; the
     macro part G = Pi F then moves only through the averaged product of
-    fluctuations.  States are carried as the pair (G, h); the initial data and
-    the readout are those of a linear-mode APSolver on the same grids.
+    fluctuations.  States are carried as the pair (G, h); the initial data
+    are those of a linear-mode APSolver on the same grids, and the run loop
+    reads G + h out at tau = t/eps^2.
     """
 
     def __init__(
@@ -247,11 +239,6 @@ class DiffusionSolver:
         f = self.transport.initial_state(init)
         return averaging.project_mean(f), averaging.fluctuation(f)
 
-    def readout(self, g: np.ndarray, h: np.ndarray, t: float):
-        """Filtered and lab-frame fields at time t; tau runs at t/eps^2 on this scale."""
-        theta = (t / self.epsilon ** 2) % (2.0 * np.pi)
-        return self.transport.readout_at(g[None] + h, theta)
-
     def _phi(self, f: np.ndarray) -> np.ndarray:
         """Phi(f) for the applied field; f has the state's shape."""
         return (self._flux @ f.ravel()).reshape(f.shape)
@@ -272,11 +259,8 @@ class DiffusionSolver:
         h_half = averaging.solve_implicit_tau(rhs, lam)
 
         g_new = g - (dt / eps) * averaging.project_mean(self._phi(h_half))
-        rhs = (
-            h
-            - (dt / eps) * averaging.fluctuation(self._phi(0.5 * (g_new + g)[None] + h_half))
-            - lam * averaging.spectral_derivative(h)
-        )
+        rhs = averaging.explicit_tau(h, lam)
+        rhs -= (dt / eps) * averaging.fluctuation(self._phi(0.5 * (g_new + g)[None] + h_half))
         h_new = averaging.solve_implicit_tau(rhs, lam)
         if not (np.all(np.isfinite(g_new)) and np.all(np.isfinite(h_new))):
             raise StabilityFailure("non-finite values in the micro-macro state; reduce dt")

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 import vlasov_ap
-from vlasov_ap import averaging, cli, stepper
+from vlasov_ap import averaging, cli, harness, stepper
 from vlasov_ap.cli import main
+from vlasov_ap.errors import ZeroReference
 
 ROOT = Path(__file__).resolve().parents[1]
 PYPROJECT = ROOT / "pyproject.toml"
@@ -143,6 +144,23 @@ def test_blow_up_exits_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("error, code", [(ZeroReference, 1), (ZeroDivisionError, None)])
+def test_only_runtime_failures_exit_1(error, code, tmp_path, monkeypatch, capsys):
+    # a zero reference is a runtime failure; any other division by zero is a
+    # bug, and its traceback must reach the user
+    def fail(config, write=True):
+        raise error("division by zero")
+
+    monkeypatch.setattr(harness, "run", fail)
+    cfg = write_config(tmp_path / "run.cfg", output_dir=tmp_path / "out")
+    if code is None:
+        with pytest.raises(error):
+            main(["run", cfg])
+    else:
+        assert main(["run", cfg]) == code
+        assert "error: division by zero" in capsys.readouterr().err
+
+
 def test_converge_prints_slopes(tmp_path, capsys):
     cfg = write_config(tmp_path / "run.cfg", epsilon=0.25, t_final=np.pi / 16,
                        n_points=64, scheme="splitting", delta_t=None,
@@ -187,13 +205,18 @@ def test_selftest_exits_1_under_a_broken_operator(monkeypatch, capsys):
     assert "FAIL linear ap vs exact" in capsys.readouterr().out
 
 
-def test_cli_import_leaves_scipy_integrate_unloaded():
+@pytest.mark.parametrize("module, unloaded", [
     # scipy.integrate costs about 24 MB of resident memory, and only the exact
     # linear reference needs it
+    ("vlasov_ap.cli", "scipy.integrate"),
+    # the package itself imports nothing, so a module loads only what it uses
+    ("vlasov_ap.averaging", "vlasov_ap.harness"),
+])
+def test_import_leaves_module_unloaded(module, unloaded):
     package_root = str(Path(vlasov_ap.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
-    code = "import sys, vlasov_ap.cli; print('scipy.integrate' in sys.modules)"
+    code = f"import sys, {module}; print({unloaded!r} in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -1,10 +1,13 @@
-"""Two-scale stepper: stencils, predictor/corrector, init data, readout.
+"""Two-scale stepper: stencils, predictor/corrector, init data, and the run
+loop's readout of its state.
 
 The stencils are compared against np.pad based reimplementations, the
 non-stiff limit against a standalone classical two-step Lax-Wendroff, whole
 steps against a reference built from FFTs of the state, and
 the one-step accuracy by Richardson extrapolation.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from vlasov_ap import averaging
 from vlasov_ap.domain import PhaseGrid, TorusGrid, initial_distribution
 from vlasov_ap.errors import NonMeanFreeTension, StabilityFailure, ZeroField
 from vlasov_ap.fields import Tension, applied_amplitude, get_tension
+from vlasov_ap.harness import _two_scale_readout
 from vlasov_ap.stepper import APSolver, DiffusionSolver, cfl_dt, xi_operator
 
 # a = 1: the applied amplitude xi1 cos tau + xi2 sin tau, whose field is divergence-free
@@ -375,6 +379,21 @@ def test_initial_state_corrected():
         solver.initial_state("fancy")
 
 
+@pytest.mark.parametrize("mode", ["linear", "poisson"])
+def test_initial_state_corrected_peak_memory(mode):
+    # the shift is built one field component at a time: about 6 state sizes
+    # at the peak, against 11 with the field pair and its primitives all held
+    solver = APSolver(PhaseGrid(64), TorusGrid(32), get_tension("cos2sq"), 0.25, mode=mode)
+    solver.initial_state("corrected")  # the first call may still fill caches
+    tracemalloc.start()
+    try:
+        f = solver.initial_state("corrected")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * f.nbytes
+
+
 def test_cfl_dt():
     e1 = np.full((2, 4, 4), 2.0)
     e2 = np.zeros((2, 4, 4))
@@ -390,31 +409,27 @@ def test_readout_at_time_zero():
     x1, x2 = grid.mesh()
     f0 = initial_distribution(x1, x2)
     for init in ("plain", "corrected"):
-        f_tilde, f_rv = solver.readout(solver.initial_state(init), 0.0)
+        f_tilde, f_rv = _two_scale_readout(solver.initial_state(init), 0.0, grid, True)
         np.testing.assert_allclose(f_tilde, f0, atol=1e-13)
         np.testing.assert_allclose(f_rv, f0, atol=1e-13)
 
 
 def test_readout_tau_independent_state():
     grid = PhaseGrid(16)
-    torus = TorusGrid(8)
-    solver = APSolver(grid, torus, get_tension("cos2sq"), 0.5)
     rng = np.random.default_rng(17)
     slice2d = rng.random((16, 16))
     state = np.broadcast_to(slice2d, (8, 16, 16)).copy()
-    f_tilde, _ = solver.readout(state, 1.234)
+    f_tilde, f_rv = _two_scale_readout(state, 2.468, grid, False)
+    assert f_rv is None
     np.testing.assert_allclose(f_tilde, slice2d, atol=1e-13)
 
 
 def test_readout_full_turn():
-    # t/eps a multiple of 2 pi lands on the l = 0 slice; frames coincide
+    # a phase that is a multiple of 2 pi lands on the l = 0 slice; frames coincide
     grid = PhaseGrid(32)
-    torus = TorusGrid(16)
-    eps = 0.5
-    solver = APSolver(grid, torus, get_tension("cos2sq"), eps)
     rng = np.random.default_rng(18)
     state = rng.random((16, 32, 32))
-    f_tilde, f_rv = solver.readout(state, 2.0 * np.pi * eps)
+    f_tilde, f_rv = _two_scale_readout(state, 2.0 * np.pi, grid, True)
     np.testing.assert_allclose(f_tilde, state[0], atol=1e-12)
     np.testing.assert_allclose(f_rv, f_tilde, atol=1e-12)
 
