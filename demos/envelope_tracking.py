@@ -2,14 +2,15 @@
 
 At eps = 0.05 the filtered solution still carries a fast ripple of size eps
 on top of the slow envelope.  The two-scale stepper walks across it with
-dt = 0.02 (about six points per fast period) and is compared against a
-Strang splitting run that resolves the period properly, plus the two
-closed-form models.  The splitting run is the ``splitting`` scheme of the
-same run loop, with 64 steps per scheme step and a sample every 64th step.
-Read the printed L1 gaps together: the coarse model averages straight
-through the ripple and pays the full envelope offset, while the scheme
-tracks the ripple inside its dt^2 + dxi^2 budget and lands next to the
-second-order model, whose only error is the eps^2 remainder.  Shrink eps
+dt = 0.02 (about six points per fast period) and is compared against the
+exact solution of linear mode, f0 composed with the inverse fundamental
+matrix of the Hill system, and against the two closed-form models; all
+three are evaluated at the scheme's sample times, the exact one from a
+single integration.  Read the printed L1 gaps together: the coarse model
+averages straight through the ripple and pays the full envelope offset,
+while the scheme tracks the ripple inside its dt^2 + dxi^2 budget and
+lands next to the second-order model, whose only error is the eps^2
+remainder.  Shrink eps
 and the model gaps track eps while the scheme gap stays put, which is the
 whole point of the method.
 
@@ -21,8 +22,9 @@ import pathlib
 import numpy as np
 
 from vlasov_ap.domain import PhaseGrid
+from vlasov_ap.fields import get_tension
 from vlasov_ap.harness import RunConfig, rms, run
-from vlasov_ap.reference import limit_solution, second_order_solution
+from vlasov_ap.reference import model_solution
 
 EPS = 0.05
 T_FINAL = 2 * np.pi
@@ -45,17 +47,15 @@ def main():
 
     grid = PhaseGrid(N)
     x1, x2 = grid.mesh()
+    tension = get_tension(cfg.tension)
 
-    # splitting reference sampled on the same time stamps; 64 substeps per
-    # scheme step keeps the reference phase drift below the model errors
-    m = 64
-    ref_cfg = cfg.replace(scheme="splitting", delta_t=result.dt / m, rms_every=m)
-    ref = np.asarray(run(ref_cfg, write=False).rms_series)
+    def model_widths(model):
+        fields = model_solution(model, times, EPS, tension, x1, x2)
+        return np.asarray([rms(f, grid) for f in fields])
 
-    coarse = np.asarray([rms(limit_solution(t, x1, x2), grid) for t in times])
-    second = np.asarray(
-        [rms(second_order_solution(t, t / EPS, x1, x2, EPS), grid) for t in times]
-    )
+    ref = model_widths("exact")
+    coarse = model_widths("limit")
+    second = model_widths("second_order")
 
     for name, series in (("scheme", widths), ("coarse model", coarse), ("second order", second)):
         gap = np.trapezoid(np.abs(series - ref), times)

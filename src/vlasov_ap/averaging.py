@@ -81,13 +81,6 @@ def _derivative_symbol(n: int) -> np.ndarray:
     return symbol
 
 
-def spectral_derivative(g: np.ndarray) -> np.ndarray:
-    """Spectral d/dtau, L g."""
-    g = np.asarray(g, dtype=float)
-    n = g.shape[0]
-    return _apply_tau(_nodal_matrix(n, _derivative_symbol(n)), g)
-
-
 def explicit_tau(g: np.ndarray, lam: float) -> np.ndarray:
     """(I - lam * d/dtau) g, the explicit half of the Crank-Nicolson step, in one product."""
     g = np.asarray(g, dtype=float)

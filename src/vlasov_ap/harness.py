@@ -363,12 +363,13 @@ def _model_scheme(config: RunConfig):
     x1, x2 = grid.mesh()
     f0p = config.f0_params()
     eps = config.epsilon
+    tension = get_tension(config.tension)
 
     def observe(_, t, snapshot):
-        f_tilde = reference.model_solution(config.scheme, t, eps, x1, x2, f0p)
+        f_tilde = reference.model_solution(config.scheme, t, eps, tension, x1, x2, f0p)
         f_rv = None
         if snapshot:
-            f_rv = reference.model_solution(config.scheme, t, eps, *rotate_to_xi(t / eps, x1, x2), f0p)
+            f_rv = reference.model_solution(config.scheme, t, eps, tension, *rotate_to_xi(t / eps, x1, x2), f0p)
         return f_tilde, f_rv, total_mass(f_tilde, grid)
 
     dt_hint = config.delta_t or (config.t_final / 256.0 or 1.0)
@@ -537,19 +538,19 @@ def _splitting_reference(config: RunConfig, cache_dir=None) -> np.ndarray:
 def reference_filtered(config: RunConfig, cache_dir: str | None = None) -> np.ndarray:
     """Filtered reference field at t_final on the config's grid.
 
-    Linear mode has the exact solution ``reference.exact_linear``, for any
-    tension.  Poisson mode uses a fine splitting run (reference_n nodes, the
-    splitting scheme's own dt rule), rotated to the xi frame with cubic
-    sampling, restricted to the coarse grid node-for-node and cached in
-    ``cache_dir`` when one is given.
+    Linear mode has the exact solution, the "exact" model of
+    ``reference.model_solution``, for any tension.  Poisson mode uses a fine
+    splitting run (reference_n nodes, the splitting scheme's own dt rule),
+    rotated to the xi frame with cubic sampling, restricted to the coarse
+    grid node-for-node and cached in ``cache_dir`` when one is given.
     """
     if config.mode == "linear":
         # the diffusion scheme runs 1/eps faster than the standard problem
         # (its tau is t/eps^2), so its time t is the standard problem's t/eps
         t = config.t_final / config.epsilon if config.scheme == "diffusion" else config.t_final
         x1, x2 = config.phase().mesh()
-        return reference.exact_linear(
-            t, config.epsilon, get_tension(config.tension), x1, x2, config.f0_params()
+        return reference.model_solution(
+            "exact", t, config.epsilon, get_tension(config.tension), x1, x2, config.f0_params()
         )
     return _splitting_reference(config, cache_dir)
 
@@ -606,12 +607,12 @@ def table_study(config: RunConfig, eps_list=TABLE_EPSILONS, cache_dir: str | Non
     Reproduces the headline accuracy table; rows are
     (eps, err_ap, err_second_order, err_limit) at t_final, each column a quiet
     run of that scheme scored against one splitting reference per eps.  The
-    model columns are closed forms for tension cos2sq, so any other tension
-    is rejected.
+    model columns are closed forms of linear mode with tension cos2sq, so
+    any other mode or tension is rejected.
     """
     rows = []
     for e in eps_list:
-        cfg = _quiet_cell(config.replace(epsilon=float(e), mode="linear"))
+        cfg = _quiet_cell(config.replace(epsilon=float(e)))
         _closed_form_only(cfg, "table_study")
         # the table reference is always the fine splitting run, whatever eps
         ref = _splitting_reference(cfg, cache_dir)

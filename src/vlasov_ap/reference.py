@@ -1,14 +1,18 @@
-"""Reference solutions: closed-form linear models and a Strang splitting solver.
+"""Reference solutions: the linear solutions f0(M(t) xi) and a Strang splitting solver.
 
-For the default tension cos^2(2 tau) the linear (no self-field) dynamics has
-closed-form asymptotics.  The averaged field rotates xi at rate 1/4; the
-next order adds a constant drift matrix D0, a periodic drift matrix D1(tau)
-and a corrected rotation rate 1/4 + 5 eps / 192:
+In linear mode (no self-field) each reference solution is f0 composed with a
+2x2 matrix of xi.  With e^{theta J} the rotation of rotate_to_rv,
 
-    limit:        f~(t, xi) ~ f0( e^{t J / 4} xi )
-    second order: f~(t, xi) ~ f0( (I - eps D0) e^{t omega J} (I - eps D1(tau)) xi ),
+    limit:        M(t) = e^{t J / 4}
+    second order: M(t) = (I - eps D0) e^{t omega J} (I - eps D1(t/eps))
+    exact:        M(t) = Phi(t)^-1 e^{J t/eps}
 
-with tau = t/eps and e^{theta J} xi = (xi1 cos + xi2 sin, -xi1 sin + xi2 cos).
+The first two are the closed-form asymptotics for the default tension
+cos^2(2 tau): the averaged field rotates xi at rate 1/4, and the next order
+adds a constant drift matrix D0, a periodic one D1(tau) and the corrected
+rate omega = 1/4 + 5 eps / 192.  The exact one holds for any tension: Phi,
+Phi(0) = I, is the fundamental matrix of the characteristics' Hill system
+r' = v/eps, v' = (a(t/eps) - 1/eps) r.
 
 The splitting solver integrates the unfiltered equation
 
@@ -39,83 +43,88 @@ def constant_drift() -> np.ndarray:
     return np.diag([-1.0, 1.0]) / 12.0
 
 
-def periodic_drift(tau: float) -> np.ndarray:
-    """Mean-free periodic drift matrix D1(tau); D1(0) = -D0 and D1(pi/2) = D0."""
+def periodic_drift(tau) -> np.ndarray:
+    """Mean-free periodic drift matrix D1(tau), shape tau.shape + (2, 2); D1(0) = -D0 and D1(pi/2) = D0."""
     c2, c6 = np.cos(2 * tau), np.cos(6 * tau)
     s2, s4, s6 = np.sin(2 * tau), np.sin(4 * tau), np.sin(6 * tau)
-    return (
-        np.array(
-            [
-                [3 * c2 + c6, 9 * s2 - 3 * s4 + s6],
-                [9 * s2 + 3 * s4 + s6, -3 * c2 - c6],
-            ]
-        )
-        / 48.0
-    )
+    d1 = np.array([[3 * c2 + c6, 9 * s2 - 3 * s4 + s6], [9 * s2 + 3 * s4 + s6, -3 * c2 - c6]]) / 48.0
+    return np.moveaxis(d1, (0, 1), (-2, -1))
 
 
-def _apply_matrix(m: np.ndarray, xi1, xi2):
-    return m[0, 0] * xi1 + m[0, 1] * xi2, m[1, 0] * xi1 + m[1, 1] * xi2
+def _rotation(theta) -> np.ndarray:
+    """e^{theta J}, shape theta.shape + (2, 2)."""
+    c, s = np.cos(theta), np.sin(theta)
+    return np.moveaxis(np.array([[c, s], [-s, c]]), (0, 1), (-2, -1))
 
 
-def limit_solution(t: float, xi1, xi2, f0_params: dict | None = None):
-    """Leading-order filtered solution: f0 composed with the rotation at rate 1/4.
-
-    The averaged field is -J xi / 4, so characteristics through (t, xi) start
-    at e^{t J / 4} xi.
-    """
-    y1, y2 = rotate_to_rv(LIMIT_ROTATION_RATE * t, xi1, xi2)
-    return initial_distribution(y1, y2, **(f0_params or {}))
+def _second_order_factors(t, tau, eps: float) -> list:
+    """I - eps D1(tau), e^{t omega J} and I - eps D0: the second-order M(t) as it acts on xi."""
+    return [np.eye(2) - eps * periodic_drift(tau), _rotation(rotation_rate(eps) * t),
+            np.eye(2) - eps * constant_drift()]
 
 
-def second_order_solution(t: float, tau: float, xi1, xi2, eps: float, f0_params: dict | None = None):
-    """First-order-in-eps model of the two-scale solution F(t, tau, xi).
-
-    The filtered field f~(t, xi) is this function at tau = t/eps.
-    """
-    z1, z2 = _apply_matrix(np.eye(2) - eps * periodic_drift(tau), xi1, xi2)
-    y1, y2 = rotate_to_rv(rotation_rate(eps) * t, z1, z2)
-    w1, w2 = _apply_matrix(np.eye(2) - eps * constant_drift(), y1, y2)
-    return initial_distribution(w1, w2, **(f0_params or {}))
-
-
-def exact_linear(t: float, eps: float, tension: Tension, xi1, xi2, f0_params: dict | None = None):
-    """Exact filtered solution f~(t, xi) of linear mode, for any tension.
-
-    The characteristics of the unfiltered equation obey the Hill system
-    r' = v/eps, v' = (a(t/eps) - 1/eps) r.  With its fundamental matrix Phi(t),
-    Phi(0) = I, integrated by DOP853 at rtol = atol = 1e-12, f(t, z) =
-    f0(Phi(t)^-1 z) and so f~(t, xi) = f0(Phi(t)^-1 e^{J t/eps} xi).
-    """
-
-    def hill(s, y):
-        p = y.reshape(2, 2)
-        return np.concatenate([p[1] / eps, (tension(s / eps) - 1.0 / eps) * p[0]])
-
-    phi = np.eye(2)
-    if t > 0:
+def _fundamental_matrix(t: np.ndarray, eps: float, tension: Tension) -> np.ndarray:
+    """Phi at each of the times t, from one DOP853 run at rtol = atol = 1e-12."""
+    phi = np.broadcast_to(np.eye(2), t.shape + (2, 2)).copy()
+    later = t > 0  # Phi(0) = I exactly
+    if later.any():
         # imported here: scipy.integrate adds about 24 MB to every process that loads it,
         # and runs that never ask for the exact solution need none of it
         from scipy.integrate import solve_ivp
 
-        sol = solve_ivp(hill, (0.0, t), phi.ravel(), method="DOP853", rtol=1e-12, atol=1e-12)
+        def hill(s, y):
+            p = y.reshape(2, 2)
+            return np.concatenate([p[1] / eps, (tension(s / eps) - 1.0 / eps) * p[0]])
+
+        sol = solve_ivp(hill, (0.0, t.max()), np.eye(2).ravel(), method="DOP853",
+                        dense_output=True, rtol=1e-12, atol=1e-12)
         if not sol.success:
             raise RuntimeError(f"Hill system integration failed: {sol.message}")
-        phi = sol.y[:, -1].reshape(2, 2)
-    w1, w2 = _apply_matrix(np.linalg.inv(phi), *rotate_to_rv(t / eps, xi1, xi2))
+        phi[later] = sol.sol(t[later]).T.reshape(-1, 2, 2)
+    return phi
+
+
+def model_solution(model: str, t, eps: float, tension: Tension, xi1, xi2, f0_params: dict | None = None):
+    """Filtered field f~(t, xi) = f0(M(t) xi) of linear mode; model is "limit", "second_order" or "exact".
+
+    t is one time or an array of times; the result has the shape of t, then of xi.
+    "exact" holds for any tension and takes every time from one integration; the closed forms
+    reject any tension but cos2sq.  The lab-frame field f(t, r, v) is this function at
+    xi = rotate_to_xi(t/eps, r, v).
+    """
+    t = np.asarray(t, dtype=float)
+    if model in ("limit", "second_order") and tension.name != "cos2sq":
+        raise ValueError(f"model {model!r} is a closed form for tension cos2sq only")
+    if model == "limit":
+        factors = [_rotation(LIMIT_ROTATION_RATE * t)]
+    elif model == "second_order":
+        factors = _second_order_factors(t, (t / eps) % (2 * np.pi), eps)
+    elif model == "exact":
+        factors = [_rotation(t / eps), np.linalg.inv(_fundamental_matrix(t, eps, tension))]
+    else:
+        raise ValueError(f"unknown model {model!r}")
+    return _compose(factors, xi1, xi2, f0_params)
+
+
+def _compose(factors, xi1, xi2, f0_params: dict | None):
+    """f0(M xi), factors[0] acting on xi first; stacks of matrices go ahead of xi's shape.
+
+    Multiplied out first, M would move each field by rounding (1e-15), and the error table's
+    small differences (1.8e-5 at eps = 0.01) by 1e-11."""
+    w1, w2 = xi1, xi2
+    for m in factors:
+        m = m.reshape(m.shape[:-2] + (1,) * np.ndim(xi1) + (2, 2))
+        w1, w2 = m[..., 0, 0] * w1 + m[..., 0, 1] * w2, m[..., 1, 0] * w1 + m[..., 1, 1] * w2
     return initial_distribution(w1, w2, **(f0_params or {}))
 
 
-def model_solution(model: str, t: float, eps: float, xi1, xi2, f0_params: dict | None = None):
-    """Filtered field f~(t, xi) of the closed-form model "limit" or "second_order".
+# perfbench/test_exact.py checks the closed forms under these two names, the second at a free tau
+def limit_solution(t: float, xi1, xi2, f0_params: dict | None = None):
+    return _compose([_rotation(LIMIT_ROTATION_RATE * t)], xi1, xi2, f0_params)
 
-    The lab-frame field f(t, r, v) is this function at xi = rotate_to_xi(t/eps, r, v).
-    """
-    if model == "limit":
-        return limit_solution(t, xi1, xi2, f0_params)
-    if model == "second_order":
-        return second_order_solution(t, (t / eps) % (2 * np.pi), xi1, xi2, eps, f0_params)
-    raise ValueError(f"unknown model {model!r}")
+
+def second_order_solution(t: float, tau: float, xi1, xi2, eps: float, f0_params: dict | None = None):
+    return _compose(_second_order_factors(t, tau, eps), xi1, xi2, f0_params)
 
 
 class SplittingSolver:

@@ -78,9 +78,12 @@ def xi_operator(g: np.ndarray, tau: np.ndarray, delta_xi: float, c_avg: float, c
     return dia_matrix((data.reshape(4, -1), (n, -n, 1, -1)), shape=(g.size, g.size))
 
 
-def cfl_dt(e1: np.ndarray, e2: np.ndarray, delta_xi: float) -> float:
-    """Advective time step dt = delta_xi / max |E|, frozen at start-up."""
-    emax = max(np.abs(e1).max(), np.abs(e2).max())
+def cfl_dt(g: np.ndarray, tau: np.ndarray, delta_xi: float) -> float:
+    """Advective step dt = delta_xi / max |E| for E = g (-sin tau, cos tau), frozen at start-up.
+
+    |E| peaks at max(|sin tau|, |cos tau|) |g|, which rounds as the larger component does."""
+    tau = np.reshape(tau, (-1,) + (1,) * (np.ndim(g) - 1))
+    emax = (np.maximum(np.abs(np.sin(tau)), np.abs(np.cos(tau))) * np.abs(g)).max()
     if emax == 0.0:
         raise ZeroField("advecting field vanishes; provide delta_t explicitly")
     return delta_xi / emax
@@ -110,7 +113,6 @@ class APSolver:
             raise ValueError("epsilon must be positive")
         self.phase = phase
         self.torus = torus
-        self.tension = tension
         self.epsilon = epsilon
         self.mode = mode
         self.f0_params = dict(f0_params or {})
@@ -127,12 +129,6 @@ class APSolver:
         g = fields.self_field(state, self.rotator)
         g += self.applied_amplitude
         return g
-
-    def total_field(self, state: np.ndarray):
-        """The field seen by a state, as its pair of components."""
-        g = self._field_amplitude(state)
-        tau = self.torus.nodes.reshape(-1, 1, 1)
-        return -np.sin(tau) * g, np.cos(tau) * g
 
     def initial_state(self, init: str = "corrected") -> np.ndarray:
         """Well-prepared data: either f0 copied across tau or the pushed-back profile.
@@ -194,8 +190,7 @@ class APSolver:
         return xi_operator(g, self.torus.nodes, self.phase.delta_xi, c_avg, c_flux)
 
     def suggest_dt(self, state: np.ndarray) -> float:
-        e1, e2 = self.total_field(state)
-        return cfl_dt(e1, e2, self.phase.delta_xi)
+        return cfl_dt(self._field_amplitude(state), self.torus.nodes, self.phase.delta_xi)
 
 
 class DiffusionSolver:
@@ -217,21 +212,20 @@ class DiffusionSolver:
         f0_params: dict | None = None,
     ):
         self.phase = phase
-        self.torus = torus
-        self.tension = tension
         self.epsilon = epsilon
         self.transport = APSolver(phase, torus, tension, epsilon, f0_params=f0_params)
-        e1, e2 = self.transport.total_field(None)  # linear mode: the applied field for any state
-        sup = max(np.abs(e1).max(), np.abs(e2).max())
-        mean_sup = max(np.abs(e1.mean(axis=0)).max(), np.abs(e2.mean(axis=0)).max())
+        g = self.transport.applied_amplitude
+        tau = torus.nodes.reshape(-1, 1, 1)
+        # sup |E| and sup |Pi E|, one field component at a time
+        sup = max(np.abs(d * g).max() for d in (-np.sin(tau), np.cos(tau)))
+        mean_sup = max(np.abs((d * g).mean(axis=0)).max() for d in (-np.sin(tau), np.cos(tau)))
         if sup > 0 and mean_sup > 1e-10 * sup:
             raise NonMeanFreeTension(
                 f"tension {tension.name!r} leaves a mean field of size {mean_sup:.3e}"
             )
-        del e1, e2  # freed before the operators are built
         dxi, n = phase.delta_xi, phase.n_points
         # Phi of the applied field on a state, and the four-point average of one (n, n) slice
-        self._flux = xi_operator(self.transport.applied_amplitude, torus.nodes, dxi, 0.0, 1.0)
+        self._flux = xi_operator(g, torus.nodes, dxi, 0.0, 1.0)
         self._average = xi_operator(np.zeros((1, n, n)), torus.nodes[:1], dxi, 1.0, 0.0)
 
     def initial_split(self, init: str = "corrected"):

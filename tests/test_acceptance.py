@@ -14,7 +14,8 @@ import time
 
 import numpy as np
 import pytest
-from test_fields import applied_pair
+from test_averaging import spectral_derivative
+from test_fields import applied_pair, field_pair
 from test_reference import drift_coupling_matrix, effective_hamiltonian
 from test_stepper import pad_flux
 
@@ -30,13 +31,7 @@ from vlasov_ap.harness import (
     table_study,
     total_mass,
 )
-from vlasov_ap.reference import (
-    constant_drift,
-    limit_solution,
-    periodic_drift,
-    rotation_rate,
-    second_order_solution,
-)
+from vlasov_ap.reference import constant_drift, model_solution, periodic_drift, rotation_rate
 from vlasov_ap.stepper import APSolver, DiffusionSolver
 
 
@@ -63,7 +58,7 @@ def test_criterion_1_operator_algebra():
     # L applied to L^{-1} returns the fluctuation part untouched
     worst = max(
         worst,
-        np.abs(averaging.spectral_derivative(averaging.invert_derivative(g)) - g).max(),
+        np.abs(spectral_derivative(averaging.invert_derivative(g)) - g).max(),
     )
     # the resolvent collapses onto the tau mean as lam grows
     big = averaging.solve_implicit_tau(u, 1e13)
@@ -224,9 +219,9 @@ def error_table():
     ref = reference_filtered(cfg)
     ap = run(cfg, write=False).f_tilde
     x1, x2 = cfg.phase().mesh()
-    tau = (cfg.t_final / eps) % (2 * np.pi)
-    second = second_order_solution(cfg.t_final, tau, x1, x2, eps)
-    limit = limit_solution(cfg.t_final, x1, x2)
+    cos2sq = get_tension("cos2sq")
+    second = model_solution("second_order", cfg.t_final, eps, cos2sq, x1, x2)
+    limit = model_solution("limit", cfg.t_final, eps, cos2sq, x1, x2)
     rows[eps] = (
         rel_error(ap, ref, "linf"),
         rel_error(second, ref, "linf"),
@@ -276,21 +271,19 @@ def test_criterion_6_model_orders_in_eps():
     t0 = time.monotonic()
     grid = PhaseGrid(64)
     x1, x2 = grid.mesh()
-    t_final = 2 * np.pi
-    n_samp = 314
-    dt_samp = t_final / n_samp
+    cos2sq = get_tension("cos2sq")
+    # 315 samples of the width over one slow period, each model against the exact solution
+    times = np.linspace(0.0, 2 * np.pi, 315)
+
+    def widths(model, eps):
+        return np.asarray([rms(f, grid) for f in model_solution(model, times, eps, cos2sq, x1, x2)])
 
     eps_list = (0.25, 0.1, 0.05, 0.025)
     errs_limit, errs_second = [], []
     for eps in eps_list:
-        # equal-error reference steps, dt_ref ~ eps^1.5, from the drift law
-        m = int(np.ceil(dt_samp / (0.015 * eps ** 1.5)))
-        ref = run(RunConfig(epsilon=eps, t_final=t_final, n_points=64, scheme="splitting",
-                            delta_t=dt_samp / m, rms_every=m), write=False)
-        times = np.asarray(ref.times)
-        r_ref = np.asarray(ref.rms_series)
-        r_lim = np.asarray([rms(limit_solution(t, x1, x2), grid) for t in times])
-        r_so = np.asarray([rms(second_order_solution(t, t / eps, x1, x2, eps), grid) for t in times])
+        r_ref = widths("exact", eps)
+        r_lim = widths("limit", eps)
+        r_so = widths("second_order", eps)
         errs_limit.append(np.trapezoid(np.abs(r_lim - r_ref), times))
         errs_second.append(np.trapezoid(np.abs(r_so - r_ref), times))
 
@@ -367,7 +360,7 @@ def test_criterion_8_micro_macro_invariants():
     for eps in (1e-1, 1e-2, 1e-3):
         solver = APSolver(phase, torus, tension, eps, mode="linear")
         f = solver.initial_state("corrected")
-        e1, e2 = solver.total_field(f)
+        e1, e2 = field_pair(solver.applied_amplitude, torus.nodes[:, None, None])
         ratio = 0.0
         for _ in range(20):
             f = solver.advance(f, dt)

@@ -16,12 +16,17 @@ from vlasov_ap.averaging import (
     invert_derivative,
     project_mean,
     solve_implicit_tau,
-    spectral_derivative,
 )
 from vlasov_ap.domain import TorusGrid
 from vlasov_ap.errors import NonZeroMeanInput
 
 TAU = TorusGrid(64).nodes
+
+
+def spectral_derivative(g):
+    """Spectral d/dtau, L g, read off the explicit half step (I - L) g."""
+    g = np.asarray(g, dtype=float)
+    return g - explicit_tau(g, 1.0)
 
 
 def band_limited(rng, n_tau=64, k_max=6, shape=()):

@@ -108,7 +108,8 @@ def test_config_mistakes_exit_2(tmp_path, capsys):
     # the closed forms exist for tension cos2sq only
     assert main(["run", cfg, "--set", "scheme=limit", "--set", "tension=cos4"]) == 2
     assert main(["table", cfg, "--set", "tension=cos4", "--eps", "0.5"]) == 2
-    assert "error:" in capsys.readouterr().err
+    assert main(["table", cfg, "--set", "mode=poisson", "--eps", "0.5"]) == 2
+    assert "error: table_study is a closed form for linear mode" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("bad", ["n_points=0", "n_points=2", "n_tau=0", "n_tau=-4"])
@@ -213,14 +214,27 @@ def test_selftest_exits_1_under_a_broken_operator(monkeypatch, capsys):
     ("vlasov_ap.averaging", "vlasov_ap.harness"),
 ])
 def test_import_leaves_module_unloaded(module, unloaded):
+    assert _loads_in_child(f"import {module}", unloaded) is False
+
+
+def test_table_leaves_scipy_integrate_unloaded(tmp_path):
+    # the table's model columns are closed forms; only the exact solution integrates
+    cfg = write_config(tmp_path / "run.cfg", output_dir=tmp_path / "out")
+    run_table = f"from vlasov_ap.cli import main; assert main(['table', {cfg!r}, '--eps', '0.5']) == 0"
+    assert _loads_in_child(run_table, "scipy.integrate") is False
+    assert (tmp_path / "out" / "table.csv").exists()
+
+
+def _loads_in_child(statement, module):
+    """Whether a fresh interpreter holds module in sys.modules after running statement."""
     package_root = str(Path(vlasov_ap.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
-    code = f"import sys, {module}; print({unloaded!r} in sys.modules)"
+    code = f"import sys\n{statement}\nprint({module!r} in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return {"True": True, "False": False}[proc.stdout.strip().splitlines()[-1]]
 
 
 def _script_target(name):

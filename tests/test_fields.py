@@ -83,7 +83,7 @@ def test_sample_applied_field_matches_pointwise():
     a = get_tension("cos2sq")
     phase = PhaseGrid(16)
     torus = TorusGrid(8)
-    e1, e2 = APSolver(phase, torus, a, 0.5).total_field(None)
+    e1, e2 = field_pair(APSolver(phase, torus, a, 0.5).applied_amplitude, torus.nodes[:, None, None])
     x1, x2 = phase.mesh()
     l = 3
     w1, w2 = applied_pair(a, torus.nodes[l], x1, x2)

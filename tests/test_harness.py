@@ -20,7 +20,7 @@ from vlasov_ap.harness import (
     table_study,
     total_mass,
 )
-from vlasov_ap.reference import SplittingSolver, exact_linear, limit_solution
+from vlasov_ap.reference import SplittingSolver, model_solution
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +215,8 @@ def test_limit_snapshot_is_lossless(tmp_path):
     data = np.loadtxt(tmp_path / "snapshot_0.75.csv", delimiter=",", skiprows=1)
     x1, x2 = PhaseGrid(32).mesh()
     # %.17g round-trips doubles exactly
-    assert np.array_equal(data[:, 2].reshape(32, 32), limit_solution(0.75, x1, x2))
+    want = model_solution("limit", 0.75, 0.3, get_tension("cos2sq"), x1, x2)
+    assert np.array_equal(data[:, 2].reshape(32, 32), want)
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
@@ -307,7 +308,7 @@ def test_closed_forms_are_cos2sq_only():
         table_study(cfg, eps_list=(0.05,), write=False)
     # the linear reference is exact for every tension
     x1, x2 = cfg.phase().mesh()
-    want = exact_linear(cfg.t_final, cfg.epsilon, get_tension("cos4"), x1, x2, cfg.f0_params())
+    want = model_solution("exact", cfg.t_final, cfg.epsilon, get_tension("cos4"), x1, x2, cfg.f0_params())
     assert np.array_equal(reference_filtered(cfg), want)
 
 

@@ -9,16 +9,14 @@ from vlasov_ap.fields import Tension, get_tension
 from vlasov_ap.reference import (
     SplittingSolver,
     constant_drift,
-    exact_linear,
     filtered_from_rv,
-    limit_solution,
     model_solution,
     periodic_drift,
     rotation_rate,
-    second_order_solution,
 )
 
 ZERO_TENSION = Tension("zero", lambda t: 0.0 * t, lambda t: 0.0 * t)
+COS2SQ = get_tension("cos2sq")
 
 
 def effective_hamiltonian(xi1, xi2, tension: Tension, n_tau: int = 64):
@@ -90,15 +88,17 @@ def test_limit_solution_against_characteristics():
         )
         foot = sol.y[:, -1]
         want = initial_distribution(foot[0], foot[1])
-        assert limit_solution(t, p[0], p[1]) == pytest.approx(want, abs=1e-12)
+        assert model_solution("limit", t, 0.1, tension, p[0], p[1]) == pytest.approx(want, abs=1e-12)
 
 
 def test_second_order_reduces_to_limit():
+    # at t = 0.4 pi, t/eps is a whole number of turns for each eps, so tau = 0
     grid = PhaseGrid(32)
     x1, x2 = grid.mesh()
-    lim = limit_solution(1.3, x1, x2)
+    t = 0.4 * np.pi
+    lim = model_solution("limit", t, 0.1, COS2SQ, x1, x2)
     gaps = [
-        np.abs(second_order_solution(1.3, 0.0, x1, x2, eps) - lim).max()
+        np.abs(model_solution("second_order", t, eps, COS2SQ, x1, x2) - lim).max()
         for eps in (0.1, 0.05, 0.025)
     ]
     assert gaps[0] < 5e-2
@@ -112,7 +112,7 @@ def test_second_order_initial_consistency():
     x1, x2 = grid.mesh()
     f0 = initial_distribution(x1, x2)
     gaps = [
-        np.abs(second_order_solution(0.0, 0.0, x1, x2, eps) - f0).max()
+        np.abs(model_solution("second_order", 0.0, eps, COS2SQ, x1, x2) - f0).max()
         for eps in (0.05, 0.025)
     ]
     assert gaps[0] < 2e-4
@@ -143,13 +143,21 @@ def test_model_solution():
     r, v = grid.mesh()
     f0 = initial_distribution(r, v)
     # frames coincide at t = 0
-    lab = model_solution("limit", 0.0, 0.1, *rotate_to_xi(0.0, r, v))
+    lab = model_solution("limit", 0.0, 0.1, COS2SQ, *rotate_to_xi(0.0, r, v))
     np.testing.assert_allclose(lab, f0, atol=1e-15)
     with pytest.raises(ValueError):
-        model_solution("cubic", 1.0, 0.1, r, v)
-    t, eps = 1.3, 0.07
-    want = second_order_solution(t, (t / eps) % (2 * np.pi), r, v, eps, {"alpha": 0.3})
-    assert np.array_equal(model_solution("second_order", t, eps, r, v, {"alpha": 0.3}), want)
+        model_solution("cubic", 1.0, 0.1, COS2SQ, r, v)
+    # the closed forms hold for cos2sq alone
+    for model in ("limit", "second_order"):
+        with pytest.raises(ValueError, match="cos2sq"):
+            model_solution(model, 1.0, 0.1, get_tension("cos4"), r, v)
+    # an array of times stacks the single-time fields, bit for bit
+    times, eps = np.array([0.0, 0.4, 1.3]), 0.07
+    for model in ("limit", "second_order"):
+        many = model_solution(model, times, eps, COS2SQ, r, v, {"alpha": 0.3})
+        assert many.shape == (3,) + r.shape
+        for t, got in zip(times, many):
+            assert np.array_equal(got, model_solution(model, t, eps, COS2SQ, r, v, {"alpha": 0.3}))
 
 
 def test_splitting_harmonic_rotation():
@@ -192,14 +200,14 @@ def test_splitting_matches_second_order_model():
     solver = SplittingSolver(grid, eps, get_tension("cos2sq"), "linear")
     f = solver.solve(solver.initial_state(), 0, 125664, 2.0 * np.pi / 125664)  # dt near 5e-5
     r, v = grid.mesh()
-    model = model_solution("second_order", 2.0 * np.pi, eps, *rotate_to_xi(2.0 * np.pi / eps, r, v))
+    model = model_solution("second_order", 2.0 * np.pi, eps, COS2SQ, *rotate_to_xi(2.0 * np.pi / eps, r, v))
     rel = np.abs(f - model).max() / np.abs(model).max()
     assert rel <= 1e-3, rel
 
 
 def test_exact_linear_is_initial_data_at_t_zero():
     x1, x2 = PhaseGrid(32).mesh()
-    got = exact_linear(0.0, 0.3, get_tension("cos4"), x1, x2, {"alpha": 0.4})
+    got = model_solution("exact", 0.0, 0.3, get_tension("cos4"), x1, x2, {"alpha": 0.4})
     assert np.array_equal(got, initial_distribution(x1, x2, alpha=0.4))
 
 
@@ -212,7 +220,7 @@ def test_exact_linear_matches_fine_splitting(tension):
     solver = SplittingSolver(grid, eps, get_tension(tension))
     f = solver.solve(solver.initial_state(), 0, 628, t / 628)  # dt near 0.00125
     r, v = grid.mesh()
-    exact = exact_linear(t, eps, get_tension(tension), *rotate_to_xi(t / eps, r, v))
+    exact = model_solution("exact", t, eps, get_tension(tension), *rotate_to_xi(t / eps, r, v))
     assert np.abs(f - exact).max() / np.abs(exact).max() < 1e-5
 
 
@@ -220,9 +228,28 @@ def test_exact_linear_matches_second_order_model_at_small_eps():
     # the model is first order in eps, so its error is O(eps^2); 7.4e-6 measured
     x1, x2 = PhaseGrid(64).mesh()
     eps, t = 0.01, 1.0
-    model = second_order_solution(t, (t / eps) % (2 * np.pi), x1, x2, eps)
-    exact = exact_linear(t, eps, get_tension("cos2sq"), x1, x2)
+    model = model_solution("second_order", t, eps, COS2SQ, x1, x2)
+    exact = model_solution("exact", t, eps, COS2SQ, x1, x2)
     assert np.sqrt(((model - exact) ** 2).sum() / (exact ** 2).sum()) < 3e-5
+
+
+@pytest.mark.parametrize("tension", ["cos2sq", "cos4"])
+def test_exact_linear_at_many_times_matches_single_times(tension):
+    # one integration serves every time; its dense output between steps agrees
+    # with integrations that end at each time to about the 1e-12 tolerances:
+    # 1.8e-12 (cos2sq) and 1.6e-12 (cos4) measured, relative to the peak.
+    # At the last time the dense output is the integration's end point, so the
+    # two agree bit for bit there
+    x1, x2 = PhaseGrid(64).mesh()
+    eps, a = 0.05, get_tension(tension)
+    times = np.linspace(0.0, 2.0, 9)
+    many = model_solution("exact", times, eps, a, x1, x2)
+    assert many.shape == (9, 64, 64)
+    assert np.array_equal(many[0], initial_distribution(x1, x2))
+    for t, got in zip(times, many):
+        want = model_solution("exact", t, eps, a, x1, x2)
+        assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
+    assert np.array_equal(got, want)
 
 
 def _fused_and_single_steps(n_points):

@@ -17,7 +17,7 @@ from test_fields import applied_pair, field_pair
 from vlasov_ap import averaging
 from vlasov_ap.domain import PhaseGrid, TorusGrid, initial_distribution
 from vlasov_ap.errors import NonMeanFreeTension, StabilityFailure, ZeroField
-from vlasov_ap.fields import Tension, applied_amplitude, get_tension
+from vlasov_ap.fields import Tension, applied_amplitude, get_tension, self_field
 from vlasov_ap.harness import _two_scale_readout
 from vlasov_ap.stepper import APSolver, DiffusionSolver, cfl_dt, xi_operator
 
@@ -211,13 +211,21 @@ def fft_resolvent(rhs, lam):
     return fourier_tau(rhs, resolvent_symbol(rhs.shape[0], lam))
 
 
+def total_pair(solver, f):
+    """The field a solver's stage sees on f: applied, plus f's self-field in poisson mode."""
+    g = solver.applied_amplitude
+    if solver.mode == "poisson":
+        g = g + self_field(f, solver.rotator)
+    return field_pair(g, solver.torus.nodes[:, None, None])
+
+
 def reference_advance(solver, f, dt):
     """APSolver.advance rebuilt from FFTs of the state and padded stencils."""
     eps, dxi = solver.epsilon, solver.phase.delta_xi
     lam = dt / (2.0 * eps)
-    e1, e2 = solver.total_field(f)
+    e1, e2 = total_pair(solver, f)
     f_half = fft_resolvent(pad_average(f) - 0.5 * dt * pad_flux(e1, e2, f, dxi), lam)
-    e1, e2 = solver.total_field(f_half)
+    e1, e2 = total_pair(solver, f_half)
     rhs = f - dt * pad_flux(e1, e2, f_half, dxi) - lam * fft_derivative(f)
     return fft_resolvent(rhs, lam)
 
@@ -225,7 +233,7 @@ def reference_advance(solver, f, dt):
 def reference_diffusion_step(solver, g, h, dt):
     """DiffusionSolver.step rebuilt the same way."""
     eps, dxi = solver.epsilon, solver.phase.delta_xi
-    e1, e2 = field_pair(solver.transport.applied_amplitude, solver.torus.nodes[:, None, None])
+    e1, e2 = field_pair(solver.transport.applied_amplitude, solver.transport.torus.nodes[:, None, None])
     lam = dt / (2.0 * eps ** 2)
     c = dt / (2.0 * eps)
 
@@ -395,9 +403,9 @@ def test_initial_state_corrected_peak_memory(mode):
 
 
 def test_cfl_dt():
-    e1 = np.full((2, 4, 4), 2.0)
-    e2 = np.zeros((2, 4, 4))
-    assert cfl_dt(e1, e2, 0.5) == 0.25
+    # |E| peaks where one component takes all of |g|, at tau = 0 here
+    g = np.full((2, 4, 4), 2.0)
+    assert cfl_dt(g, np.array([0.0, np.pi / 4]), 0.5) == 0.25
     with pytest.raises(ZeroField):
         cfl_dt(np.zeros(3), np.zeros(3), 0.5)
 
