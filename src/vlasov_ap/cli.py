@@ -12,7 +12,6 @@ import dataclasses
 import sys
 
 from . import harness
-from .errors import ZeroReference
 
 
 def _floats(text: str) -> list[float]:
@@ -35,13 +34,7 @@ def _add_config_arguments(p: argparse.ArgumentParser):
 
 
 def _load_config(args) -> harness.RunConfig:
-    overrides = {}
-    for item in args.set:
-        if "=" not in item:
-            raise ValueError(f"--set expects key=value, got {item!r}")
-        key, value = item.split("=", 1)
-        overrides[key.strip()] = value.strip()
-    return harness.RunConfig.from_file(args.config, overrides)
+    return harness.RunConfig.from_file(args.config, args.set)
 
 
 def _cmd_run(args) -> int:
@@ -106,7 +99,8 @@ def main(argv=None) -> int:
         "--eps",
         type=_floats,
         default=list(harness.TABLE_EPSILONS),
-        help="comma separated epsilon list",
+        help="comma separated epsilon list (default %(default)s); at 0.01 the model columns "
+        "need a smaller reference_dt_factor than the default",
     )
     p.add_argument("--reference-cache", help="directory memoizing reference runs")
     p.set_defaults(func=_cmd_table)
@@ -123,7 +117,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ZeroReference, RuntimeError) as exc:
+    except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

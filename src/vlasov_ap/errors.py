@@ -17,5 +17,5 @@ class NonMeanFreeTension(ValueError):
     """The diffusion-scaling stepper needs a tension whose applied field is mean-free in tau."""
 
 
-class ZeroReference(ZeroDivisionError):
+class ZeroReference(RuntimeError):
     """A relative error was requested against an identically zero reference field."""

@@ -37,6 +37,7 @@ import dataclasses
 import hashlib
 import math
 import os
+import typing
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -80,14 +81,10 @@ class RunConfig:
     reference_n: int = 0  # 0 means 2 * n_points; else n_points times a power of two
 
     def __post_init__(self):
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}")
-        if self.init not in ("corrected", "plain"):
-            raise ValueError(f"unknown init {self.init!r}")
-        if self.mode not in ("linear", "poisson"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.tension not in TENSIONS:
-            raise ValueError(f"unknown tension {self.tension!r}; expected one of {sorted(TENSIONS)}")
+        for name, allowed in _CHOICES.items():
+            v = getattr(self, name)
+            if v not in allowed:
+                raise ValueError(f"unknown {name} {v!r}; expected one of {allowed}")
         positive = ["epsilon", "xi_max", "alpha", "width", "reference_dt_factor"]
         if self.delta_t is not None:
             positive.append("delta_t")
@@ -132,47 +129,51 @@ class RunConfig:
         return dataclasses.replace(self, **kw)
 
     @classmethod
-    def from_file(cls, path, overrides: dict | None = None) -> "RunConfig":
-        """Parse a flat ``key = value`` file; blank lines and # comments ignored."""
-        raw: dict[str, str] = {}
-        for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-            key, value = line.split("=", 1)
-            raw[key.strip()] = value.strip()
-        raw.update({k: v for k, v in (overrides or {}).items() if v is not None})
-        return cls.from_strings(raw)
+    def from_file(cls, path, overrides=()) -> "RunConfig":
+        """Parse a flat ``key = value`` file, then ``key=value`` overrides taken verbatim.
+
+        Blank lines and # comments are dropped from the file only, so an override may hold '#'."""
+        lines = enumerate(Path(path).read_text().splitlines(), 1)
+        items = [(f"{path}:{n}", text) for n, line in lines if (text := line.split("#", 1)[0].strip())]
+        items += [("--set", item) for item in overrides]
+        return cls.from_strings(dict(_split_item(text, where) for where, text in items))
 
     @classmethod
     def from_strings(cls, raw: dict) -> "RunConfig":
+        types = typing.get_type_hints(cls)
         kwargs = {}
-        names = {f.name for f in dataclasses.fields(cls)}
         for key, value in raw.items():
-            if key not in names:
+            if key not in types:
                 raise ValueError(f"unknown config key {key!r}")
-            kwargs[key] = _parse_value(key, value)
+            kwargs[key] = _parse_value(key, value, types[key])
         missing = [k for k in ("epsilon", "t_final") if k not in kwargs]
         if missing:
             raise ValueError(f"config is missing required keys: {missing}")
         return cls(**kwargs)
 
 
-def _parse_value(key: str, value):
-    if not isinstance(value, str) or key in ("scheme", "init", "mode", "tension", "output_dir"):
+def _split_item(text: str, where: str) -> tuple[str, str]:
+    """Key and value of one ``key = value`` item, stripped; where names its source in errors."""
+    key, eq, value = text.partition("=")
+    if not eq:
+        raise ValueError(f"{where}: expected 'key = value', got {text!r}")
+    return key.strip(), value.strip()
+
+
+def _parse_value(key: str, value, kind):
+    """A config value from its text, typed by kind, the annotation of its RunConfig field."""
+    if not isinstance(value, str) or kind is str:
         return value
-    if key == "delta_t" and value.lower() in ("", "none", "auto"):
-        return None
-    integer = key in ("n_points", "n_tau", "rms_every", "reference_n")
+    if kind == float | None:
+        if value.lower() in ("", "none", "auto"):
+            return None
+        kind = float
     try:
-        if key == "snapshot_times":
+        if kind == tuple[float, ...]:
             return tuple(float(p) for p in value.replace(",", " ").split())
-        return int(value) if integer else float(value)
+        return kind(value)
     except ValueError:
-        kind = "an integer" if integer else "numeric"
-        raise ValueError(f"{key} must be {kind}, got {value!r}") from None
+        raise ValueError(f"{key} must be {'an integer' if kind is int else 'numeric'}, got {value!r}") from None
 
 
 def format_config(config: RunConfig) -> str:
@@ -384,6 +385,8 @@ _SCHEME_SETUPS = {
     "diffusion": _diffusion_scheme,
 }
 SCHEMES = tuple(_SCHEME_SETUPS)
+_CHOICES = {"scheme": SCHEMES, "init": ("corrected", "plain"), "mode": ("linear", "poisson"),
+            "tension": sorted(TENSIONS)}
 
 
 def run(config: RunConfig, write: bool = True) -> RunResult:
@@ -605,10 +608,10 @@ def table_study(config: RunConfig, eps_list=TABLE_EPSILONS, cache_dir: str | Non
     """Relative Linf errors of ap, second-order and limit fields vs fine splitting.
 
     Reproduces the headline accuracy table; rows are
-    (eps, err_ap, err_second_order, err_limit) at t_final, each column a quiet
-    run of that scheme scored against one splitting reference per eps.  The
-    model columns are closed forms of linear mode with tension cos2sq, so
-    any other mode or tension is rejected.
+    (eps, err_ap, err_second_order, err_limit) at t_final: a quiet ap run and
+    each model's closed form at t_final, scored against one splitting reference
+    per eps.  The closed forms exist for linear mode with tension cos2sq only,
+    so any other mode or tension is rejected.
     """
     rows = []
     for e in eps_list:
@@ -616,8 +619,10 @@ def table_study(config: RunConfig, eps_list=TABLE_EPSILONS, cache_dir: str | Non
         _closed_form_only(cfg, "table_study")
         # the table reference is always the fine splitting run, whatever eps
         ref = _splitting_reference(cfg, cache_dir)
-        runs = (run(cfg.replace(scheme=s), write=False) for s in ("ap", "second_order", "limit"))
-        rows.append((cfg.epsilon, *(rel_error(r.f_tilde, ref, "linf") for r in runs)))
+        args = (cfg.t_final, cfg.epsilon, get_tension(cfg.tension), *cfg.phase().mesh(), cfg.f0_params())
+        got = [run(cfg.replace(scheme="ap"), write=False).f_tilde]
+        got += [reference.model_solution(m, *args) for m in ("second_order", "limit")]
+        rows.append((cfg.epsilon, *(rel_error(f, ref, "linf") for f in got)))
     if write:
         _atomic_savetxt(
             Path(config.output_dir) / "table.csv",
@@ -640,7 +645,7 @@ def _mass_drift(config: RunConfig) -> float:
 
 
 def _round_trip_changes(config: RunConfig) -> int:
-    raw = dict(line.split(" = ", 1) for line in format_config(config).splitlines())
+    raw = dict(_split_item(line, "format_config") for line in format_config(config).splitlines())
     back = RunConfig.from_strings(raw)
     return sum(getattr(back, f.name) != getattr(config, f.name) for f in dataclasses.fields(config))
 

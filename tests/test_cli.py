@@ -50,6 +50,15 @@ def test_run_overrides_only_through_set(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+def test_set_value_keeps_its_hash(tmp_path):
+    # only config file lines lose a # comment; a --set value arrives verbatim
+    cfg = write_config(tmp_path / "run.cfg", output_dir=tmp_path / "out")
+    out = tmp_path / "a#b"
+    assert main(["run", cfg, "--set", f"output_dir={out}"]) == 0
+    assert f"output_dir = {out}\n" in (out / "meta.txt").read_text()
+    assert not (tmp_path / "out").exists()
+
+
 def test_set_overrides(tmp_path):
     cfg = write_config(tmp_path / "run.cfg", output_dir=tmp_path / "out")
     assert main(["run", cfg, "--set", "rms_every=2"]) == 0

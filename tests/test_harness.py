@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vlasov_ap import fields, harness, reference
+from vlasov_ap import fields, harness, reference, stepper
 from vlasov_ap.domain import PhaseGrid, initial_distribution
 from vlasov_ap.errors import StabilityFailure, ZeroReference
 from vlasov_ap.fields import get_tension
@@ -63,8 +63,8 @@ def test_config_file_parsing(tmp_path):
     assert cfg.n_points == 32
     assert cfg.delta_t is None
     assert cfg.snapshot_times == (0.5, 1.0)
-    # overrides win, None entries are ignored
-    cfg = RunConfig.from_file(path, overrides={"scheme": "limit", "delta_t": "0.25", "n_tau": None})
+    # overrides win
+    cfg = RunConfig.from_file(path, overrides=["scheme=limit", "delta_t = 0.25"])
     assert cfg.scheme == "limit" and cfg.delta_t == 0.25 and cfg.n_tau == 64
 
     path.write_text("epsilon = 0.5\nt_final = 1.0\nfoo = 1\n")
@@ -255,10 +255,10 @@ def test_lab_frame_is_built_for_snapshot_steps_only(tmp_path, monkeypatch):
     model, plane = reference.model_solution, fields.sample_plane
     monkeypatch.setattr(reference, "model_solution", lambda *a: models.append(1) or model(*a))
     monkeypatch.setattr(fields, "sample_plane", lambda *a, **k: planes.append(1) or plane(*a, **k))
-    # a table row reads f~ of each closed form at step 0 and at t_final, no lab frame
+    # a table row reads f~ of each closed form once, at t_final, and no lab frame
     cfg = RunConfig(epsilon=0.5, t_final=0.1, n_points=32, n_tau=16, output_dir=str(tmp_path))
     table_study(cfg, eps_list=(0.5,), write=False)
-    assert len(models) == 4
+    assert len(models) == 2
     # rows at steps 0, 4 and 8 and a snapshot at step 3: one lab frame, for the snapshot
     cfg = cfg.replace(delta_t=0.0125, rms_every=4, snapshot_times=(0.0375,))
     models.clear()
@@ -271,12 +271,31 @@ def test_lab_frame_is_built_for_snapshot_steps_only(tmp_path, monkeypatch):
 
 
 def test_snapshot_requests_on_one_step_share_a_file(tmp_path):
-    # dt = 0.0125: 0.02 and 0.024 round to step 2; 0.05 and 0.5 land on step 4
+    # dt = 0.0125: -1 lands on step 0; 0.02 and 0.024 round to step 2; 0.05 and
+    # 0.5 land on step 4
     cfg = RunConfig(epsilon=0.5, t_final=0.05, n_points=32, scheme="limit", delta_t=0.0125,
-                    snapshot_times=(0.02, 0.024, 0.05, 0.5), output_dir=str(tmp_path))
+                    snapshot_times=(-1.0, 0.02, 0.024, 0.05, 0.5), output_dir=str(tmp_path))
     run(cfg)
     names = sorted(p.name for p in tmp_path.glob("snapshot_*.csv"))
-    assert names == ["snapshot_0.025.csv", "snapshot_0.05.csv"]
+    assert names == ["snapshot_0.025.csv", "snapshot_0.05.csv", "snapshot_0.csv"]
+
+
+def test_poisson_auto_step_is_the_cfl_step_frozen_at_t0(tmp_path, monkeypatch):
+    amplitudes = []
+    cfl_dt = stepper.cfl_dt
+    monkeypatch.setattr(stepper, "cfl_dt", lambda g, *a: amplitudes.append(g.copy()) or cfl_dt(g, *a))
+    cfg = RunConfig(epsilon=0.5, t_final=0.1, n_points=32, n_tau=16, mode="poisson", output_dir=str(tmp_path))
+    run(cfg)
+    solver = stepper.APSolver(cfg.phase(), cfg.torus(), get_tension(cfg.tension), cfg.epsilon, "poisson",
+                              cfg.f0_params())
+    # one call, on the field amplitude of the initial state; the self-field
+    # evolves, but later steps keep this dt
+    assert len(amplitudes) == 1
+    assert np.array_equal(amplitudes[0], solver._field_amplitude(solver.initial_state("corrected")))
+    meta = dict(line.split(" = ", 1) for line in (tmp_path / "meta.txt").read_text().splitlines())
+    n_steps, dt = harness._resolve_steps(cfg, cfl_dt(amplitudes[0], cfg.torus().nodes, cfg.phase().delta_xi))
+    assert int(meta["n_steps"]) == n_steps > 1
+    assert float(meta["dt_actual"]) == dt
 
 
 def test_colliding_snapshot_names_are_rejected_before_stepping(tmp_path):
