@@ -6,27 +6,23 @@ projector Pi, its complement I - Pi, the pseudo-inverse L^{-1} (defined on
 mean-free data, returning the unique mean-free primitive), and the resolvent
 (I + lam*L)^{-1} used by the implicit part of the time steppers.
 
-All operators are diagonal in Fourier:
+Pi and I - Pi are plain means.  Every other operator is a Fourier multiplier
+symbol(k), k = 0..n_tau/2, and states only its symbol; one builder,
+_multiplier, turns it into the real circulant n_tau x n_tau matrix on the
+nodes (row 0 of the shift, for evaluation at one angle) by applying it to
+the identity, and then gives the data one matrix product over all pencils.
+The builder owns the one Nyquist rule: the k_max bin of a real even-length
+signal is the coefficient of cos(k_max * tau), and the symbol acts on it by
+its real part, which is what the exact nodal operator gives.  That makes the
+derivative and the primitive vanish there, the explicit half step keep it,
+the resolvent scale it by Re 1/(1 + i*lam*k_max) and evaluation by
+cos(k_max * tau_star).  An odd n_tau raises ValueError.
 
-    Pi        : keeps the k = 0 coefficient,
-    L         : multiplies by i*k (I - lam*L, the explicit half step, by 1 - i*lam*k),
-    L^{-1}    : divides by i*k (k != 0),
-    resolvent : divides by 1 + i*lam*k.
-
-The Nyquist bin of a real even-length signal is treated as the coefficient of
-cos(k_max * tau).  Its derivative and its mean-free primitive vanish at every
-node, and the resolvent acts on it by the real part of 1/(1 + i*lam*k_max),
-which is what the exact nodal solution gives for a cos(k_max * tau) source.
-
-L, L^{-1} and the resolvent are real circulant n_tau x n_tau matrices on the
-nodes, and evaluation at one angle is row 0 of the shift by that angle.  Each
-is built on every call by applying its Fourier symbol, Nyquist rule included,
-to the identity (an odd n_tau raises ValueError), and the data then gets one
-matrix product over all pencils at once.  The product costs n_tau**2 flops per pencil
-against n_tau*log(n_tau) for an rfft/irfft pair of the data, but it runs as
-one BLAS call along the strided tau axis; on one core, at 128 x 128 pencils,
-it stays below the FFT pair up to at least n_tau = 256 (a resolvent solve
-took 59 ms against 186 ms, and 5.7 ms against 40 ms at n_tau = 64).
+The product costs n_tau**2 flops per pencil against n_tau*log(n_tau) for an
+rfft/irfft pair of the data, but it runs as one BLAS call along the strided
+tau axis; on one core, at 128 x 128 pencils, it stays below the FFT pair up
+to at least n_tau = 256 (a resolvent solve took 59 ms against 186 ms, and
+5.7 ms against 40 ms at n_tau = 64).
 """
 from __future__ import annotations
 
@@ -49,9 +45,16 @@ def fluctuation(g: np.ndarray) -> np.ndarray:
     return g - g.mean(axis=0, keepdims=True)
 
 
-def _apply_tau(m: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """m @ g along axis 0, for every pencil of g at once."""
-    return (m @ g.reshape(g.shape[0], -1)).reshape(m.shape[:1] + g.shape[1:])
+def _multiplier(g: np.ndarray, symbol, rows=slice(None)) -> np.ndarray:
+    """The rows of the nodal matrix of the multiplier symbol(k), applied to every pencil of g."""
+    g = np.asarray(g, dtype=float)
+    n = g.shape[0]
+    if n % 2:
+        raise ValueError(f"torus grid length must be even, got {n}")
+    s = np.array(symbol(np.arange(n // 2 + 1)), dtype=complex)
+    s[-1] = s[-1].real  # the Nyquist bin is cos(k_max tau)
+    m = np.fft.irfft(np.fft.rfft(np.eye(n), axis=0) * s[:, None], n=n, axis=0)[rows]
+    return (m @ g.reshape(n, -1)).reshape(m.shape[:1] + g.shape[1:])
 
 
 def _check_mean_free(g: np.ndarray):
@@ -63,29 +66,9 @@ def _check_mean_free(g: np.ndarray):
         )
 
 
-def _nodal_matrix(n: int, symbol: np.ndarray) -> np.ndarray:
-    """Real n x n nodal matrix of the Fourier multiplier symbol[k], k = 0..n/2.
-
-    The symbol's Nyquist entry acts on the cos(k_max * tau) coefficient.
-    Raises ValueError for an odd n, whose top genuine mode has no such rule.
-    """
-    if n % 2:
-        raise ValueError(f"torus grid length must be even, got {n}")
-    return np.fft.irfft(np.fft.rfft(np.eye(n), axis=0) * symbol[:, None], n=n, axis=0)
-
-
-def _derivative_symbol(n: int) -> np.ndarray:
-    """i*k for k = 0..n/2; the Nyquist mode has zero nodal derivative and is dropped."""
-    symbol = 1j * np.arange(n // 2 + 1)
-    symbol[-1] = 0.0
-    return symbol
-
-
 def explicit_tau(g: np.ndarray, lam: float) -> np.ndarray:
-    """(I - lam * d/dtau) g, the explicit half of the Crank-Nicolson step, in one product."""
-    g = np.asarray(g, dtype=float)
-    n = g.shape[0]
-    return _apply_tau(_nodal_matrix(n, 1.0 - lam * _derivative_symbol(n)), g)
+    """(I - lam * d/dtau) g, the explicit half of the Crank-Nicolson step."""
+    return _multiplier(g, lambda k: 1.0 - 1j * lam * k)
 
 
 def invert_derivative(g: np.ndarray) -> np.ndarray:
@@ -95,11 +78,7 @@ def invert_derivative(g: np.ndarray) -> np.ndarray:
     """
     g = np.asarray(g, dtype=float)
     _check_mean_free(g)
-    n = g.shape[0]
-    symbol = np.zeros(n // 2 + 1, dtype=complex)
-    symbol[1:-1] = 1.0 / (1j * np.arange(1, n // 2))
-    # Nyquist stays 0: the mean-free primitive of cos(k_max tau) vanishes at the nodes
-    return _apply_tau(_nodal_matrix(n, symbol), g)
+    return _multiplier(g, lambda k: np.where(k > 0, 1.0 / (1j * np.maximum(k, 1)), 0.0))
 
 
 def antiderivative_from_zero(g: np.ndarray) -> np.ndarray:
@@ -116,13 +95,9 @@ def solve_implicit_tau(rhs: np.ndarray, lam: float) -> np.ndarray:
     one and the tau-mean of rhs is kept to rounding; u -> Pi rhs as
     lam -> infinity.  lam = 0 returns an exact copy of rhs.
     """
-    rhs = np.asarray(rhs, dtype=float)
     if lam == 0.0:
-        return rhs.copy()
-    symbol = 1.0 / (1.0 + 1j * lam * np.arange(rhs.shape[0] // 2 + 1))
-    # Nyquist carries cos(k_max tau): the nodal-exact symbol is Re 1/(1+i lam k)
-    symbol[-1] = symbol[-1].real
-    return _apply_tau(_nodal_matrix(rhs.shape[0], symbol), rhs)
+        return np.array(rhs, dtype=float)
+    return _multiplier(rhs, lambda k: 1.0 / (1.0 + 1j * lam * k))
 
 
 def eval_at_tau(g: np.ndarray, tau_star: float) -> np.ndarray:
@@ -132,10 +107,4 @@ def eval_at_tau(g: np.ndarray, tau_star: float) -> np.ndarray:
     3D input (n_tau, n, n) the interpolation runs per (i, j) pencil and the
     result has shape (n, n).
     """
-    g = np.asarray(g, dtype=float)
-    n = g.shape[0]
-    # row 0 of the shift by tau_star; cos(k_max (tau + tau_star)) is
-    # cos(k_max tau_star) times cos(k_max tau) at the nodes
-    symbol = np.exp(1j * np.arange(n // 2 + 1) * tau_star)
-    symbol[-1] = symbol[-1].real
-    return _apply_tau(_nodal_matrix(n, symbol)[:1], g)[0]
+    return _multiplier(g, lambda k: np.exp(1j * k * tau_star), rows=slice(1))[0]

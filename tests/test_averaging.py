@@ -227,6 +227,7 @@ def white_noise(shape_id):
         "3d": rng.standard_normal((32, 6, 7)),
         "transposed": rng.standard_normal((6, 64, 7)).transpose(1, 0, 2),
         "strided": rng.standard_normal((128, 9, 4))[::2, :, 1:3],
+        "n_tau4": rng.standard_normal((4, 3)),
     }[shape_id]
 
 
@@ -235,7 +236,8 @@ def assert_matches(got, want):
     assert np.abs(got - want).max() <= 1e-13 * max(np.abs(want).max(), 1.0)
 
 
-SHAPES = ("1d", "2d", "3d", "transposed", "strided")
+# n_tau = 4, the smallest torus a run accepts, has one interior mode besides the Nyquist bin
+SHAPES = ("1d", "2d", "3d", "transposed", "strided", "n_tau4")
 
 
 @pytest.mark.parametrize("shape_id", SHAPES)

@@ -215,6 +215,18 @@ def test_selftest_exits_1_under_a_broken_operator(monkeypatch, capsys):
     assert "FAIL linear ap vs exact" in capsys.readouterr().out
 
 
+def test_selftest_reports_a_check_that_raises(monkeypatch, capsys):
+    def broken(config, cache_dir=None):
+        raise RuntimeError("no reference")
+
+    monkeypatch.setattr(harness, "reference_filtered", broken)
+    assert main(["selftest"]) == 1
+    out = capsys.readouterr().out
+    for name in ("linear ap vs exact", "splitting vs exact"):
+        assert f"FAIL {name}: RuntimeError: no reference" in out
+    assert "2 of 4 checks passed" in out
+
+
 @pytest.mark.parametrize("module, unloaded", [
     # scipy.integrate costs about 24 MB of resident memory, and only the exact
     # linear reference needs it

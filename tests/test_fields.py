@@ -139,6 +139,11 @@ def test_radial_field_zero_and_oddness():
         assert e[n // 2 - k] == -e[n // 2 + k]
 
 
+def test_radial_field_rejects_wrong_length():
+    with pytest.raises(ValueError, match="density length"):
+        radial_field(np.ones(31), PhaseGrid(32))
+
+
 def test_radial_field_warns_on_asymmetry():
     grid = PhaseGrid(32)
     rho = np.ones(32)

@@ -150,6 +150,8 @@ def test_rel_error_norms():
     assert rel_error(2.0 * ref, ref, "linf") == pytest.approx(1.0)
     with pytest.raises(ZeroReference):
         rel_error(ref, np.zeros_like(ref))
+    with pytest.raises(ZeroReference):
+        rel_error(ref, np.zeros_like(ref), "linf")
     with pytest.raises(ValueError, match="unknown norm"):
         rel_error(ref, ref, "l1")
 
@@ -219,7 +221,11 @@ def test_limit_snapshot_is_lossless(tmp_path):
     assert np.array_equal(data[:, 2].reshape(32, 32), want)
 
 
-@pytest.mark.parametrize("scheme", SCHEMES)
+# the splitting run puts 2.4e-4 of the mass near the edge of this 32^2 box; only the step count matters here
+@pytest.mark.parametrize("scheme", [
+    pytest.param(s, marks=pytest.mark.filterwarnings("ignore:.*box edge")) if s == "splitting" else s
+    for s in SCHEMES
+])
 def test_every_scheme_observes_exactly_the_scheduled_steps(scheme, tmp_path, monkeypatch):
     calls = {"_drift": 0, "_kick": 0}
     for name in calls:
@@ -355,6 +361,7 @@ def fast_band_fraction(times, series, eps):
     return spec[freq >= 1.0 / (2.0 * np.pi * eps)].sum() / spec.sum()
 
 
+@pytest.mark.filterwarnings("ignore:.*box edge")  # 1e-5 of the mass nears the edge late in the slow period
 def test_filtered_rms_has_no_fast_oscillation():
     # One slow period (the xi1 moment turns at angular rate 1/2, period 4 pi)
     # sampled at dt = 0.02 keeps the t/eps band inside Nyquist at eps = 0.01.
@@ -470,6 +477,7 @@ PINNED_REFERENCE_SUMS = {3: (38.42188051005197, 18.590930632683246)}
 
 
 @pytest.mark.filterwarnings("ignore:density is not even")  # 32 nodes barely resolve the edge
+@pytest.mark.filterwarnings("ignore:.*box edge")  # 2.1e-4 of the mass nears the 16^2 box edge; only the sums matter
 def test_reference_numbers_match_the_cache_version():
     cfg = RunConfig(epsilon=0.5, t_final=0.11, n_points=16, reference_n=32, mode="poisson")
     ref = harness._splitting_reference(cfg)

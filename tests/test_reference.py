@@ -1,10 +1,13 @@
+import types
+
 import numpy as np
 import pytest
+import scipy.integrate
 from scipy.integrate import solve_ivp
 from test_fields import applied_pair
 
 from vlasov_ap import averaging
-from vlasov_ap.domain import PhaseGrid, initial_distribution, rotate_to_xi
+from vlasov_ap.domain import PhaseGrid, TorusGrid, initial_distribution, rotate_to_xi
 from vlasov_ap.fields import Tension, get_tension
 from vlasov_ap.reference import (
     SplittingSolver,
@@ -14,6 +17,7 @@ from vlasov_ap.reference import (
     periodic_drift,
     rotation_rate,
 )
+from vlasov_ap.stepper import APSolver
 
 ZERO_TENSION = Tension("zero", lambda t: 0.0 * t, lambda t: 0.0 * t)
 COS2SQ = get_tension("cos2sq")
@@ -211,6 +215,14 @@ def test_exact_linear_is_initial_data_at_t_zero():
     assert np.array_equal(got, initial_distribution(x1, x2, alpha=0.4))
 
 
+def test_exact_linear_reports_a_failed_integration(monkeypatch):
+    failed = types.SimpleNamespace(success=False, message="step size too small")
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", lambda *a, **k: failed)
+    x1, x2 = PhaseGrid(16).mesh()
+    with pytest.raises(RuntimeError, match="Hill system integration failed: step size too small"):
+        model_solution("exact", 0.5, 0.3, get_tension("cos4"), x1, x2)
+
+
 @pytest.mark.parametrize("tension", ["cos2sq", "cos4"])
 def test_exact_linear_matches_fine_splitting(tension):
     # compared node for node in the lab frame, so no interpolation enters;
@@ -275,6 +287,15 @@ def test_splitting_advance_fuses_half_drifts(n_points):
 def test_splitting_rejects_unknown_mode():
     with pytest.raises(ValueError):
         SplittingSolver(PhaseGrid(16), 0.5, get_tension("cos2sq"), "spectral")
+
+
+def test_ap_solver_rejects_unknown_mode_and_eps():
+    args = (PhaseGrid(16), TorusGrid(4), get_tension("cos2sq"))
+    with pytest.raises(ValueError, match="unknown mode"):
+        APSolver(*args, 0.5, mode="spectral")
+    for eps in (0.0, -0.5):
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            APSolver(*args, eps)
 
 
 def test_splitting_poisson_mass_conservation():

@@ -354,6 +354,10 @@ def test_advance_flags_non_finite():
     bad = np.full((4, 8, 8), np.nan)
     with pytest.raises(StabilityFailure):
         solver.advance(bad, 0.01)
+    # four torus nodes alias the cos4 field onto a mean; eight resolve it
+    diffusion = DiffusionSolver(grid, TorusGrid(8), get_tension("cos4"), 1.0)
+    with pytest.raises(StabilityFailure):
+        diffusion.step(bad[0], np.full((8, 8, 8), np.nan), 0.01)
 
 
 def test_initial_state_plain():
