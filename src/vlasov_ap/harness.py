@@ -25,9 +25,10 @@ Parameter studies (``convergence_study``, ``table_study``) compare runs
 against a reference.  ``convergence_study`` uses ``reference_filtered``: the
 exact linear solution in linear mode, whatever the tension, and a fine
 splitting run in poisson mode.  The error table always uses the fine
-splitting run.  A splitting reference is a quiet ``splitting`` run of this
-loop on the fine grid, built from only the inputs that change its numbers.
-It can be cached on disk, keyed by that run's config plus
+splitting run.  A splitting reference is its cell run quietly by the
+``splitting`` scheme of this loop on the fine grid, with the inputs it does
+not inherit (n_tau, init, delta_t, output_dir, reference_n) reset to their
+defaults.  It can be cached on disk, keyed by that run's config plus
 REFERENCE_CACHE_VERSION; an entry that fails to load is recomputed.
 ``selftest`` runs a few small end-to-end checks against the same references.
 """
@@ -463,9 +464,13 @@ def _replace_file(path: Path, write):
     """Make path by write(binary handle) on a temp file renamed into place."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        write(fh)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _atomic_savetxt(path: Path, rows, header: str):
@@ -501,27 +506,25 @@ def _write_outputs(result: RunResult):
 # bump, and re-pin its test, when the splitting reference's numbers change, so
 # that cached references from the old code are not reused
 REFERENCE_CACHE_VERSION = 3
+# inputs that do not change a splitting reference's numbers; its run resets them
+_REFERENCE_RESETS = ("n_tau", "init", "delta_t", "output_dir", "reference_n")
+
+
+def _quiet(config: RunConfig, **changes) -> RunConfig:
+    """The config with changes, writing no snapshots and sampling only the endpoints."""
+    return config.replace(snapshot_times=(), rms_every=1 << 30, **changes)
 
 
 def _splitting_reference(config: RunConfig, cache_dir=None) -> np.ndarray:
-    """Quiet splitting run on the fine grid, restricted to the config's grid.
+    """The config's cell run quietly by splitting on the fine grid, restricted to its grid.
 
-    The reference's config holds only the inputs that change its numbers, so
-    its cache key, the sha256 of that config's text, the coarse n_points and
-    REFERENCE_CACHE_VERSION, cannot drift from the run it names.
+    The reference inherits every input but those in _REFERENCE_RESETS, which
+    go back to their defaults, so its cache key, the sha256 of its config's
+    text, the coarse n_points and REFERENCE_CACHE_VERSION, names every input
+    of the run it keys, a field added later included.
     """
-    ref = RunConfig(
-        epsilon=config.epsilon,
-        t_final=config.t_final,
-        n_points=config.reference_n or 2 * config.n_points,
-        xi_max=config.xi_max,
-        scheme="splitting",
-        mode=config.mode,
-        tension=config.tension,
-        rms_every=1 << 30,
-        reference_dt_factor=config.reference_dt_factor,
-        **config.f0_params(),
-    )
+    reset = {f.name: f.default for f in dataclasses.fields(RunConfig) if f.name in _REFERENCE_RESETS}
+    ref = _quiet(config, scheme="splitting", n_points=config.reference_n or 2 * config.n_points, **reset)
     path = None
     if cache_dir:
         blob = f"{REFERENCE_CACHE_VERSION}\n{config.n_points}\n{format_config(ref)}".encode()
@@ -558,29 +561,14 @@ def reference_filtered(config: RunConfig, cache_dir: str | None = None) -> np.nd
     return _splitting_reference(config, cache_dir)
 
 
-def _quiet_cell(config: RunConfig) -> RunConfig:
-    """Sweep cells write nothing and only sample the endpoints."""
-    return config.replace(snapshot_times=(), rms_every=1 << 30)
-
-
-def convergence_study(
-    config: RunConfig,
-    dt_list,
-    eps_list,
-    cache_dir: str | None = None,
-    write: bool = True,
-):
+def convergence_study(config: RunConfig, dt_list, eps_list, cache_dir: str | None = None):
     """Errors of the configured scheme over a (eps, dt) sweep, plus log-log slopes.
 
     Returns (rows, slopes): rows are (eps, dt actually used, relative L2 error
     of f~ at t_final), slopes one (eps, slope) pair per eps.  Writes
     convergence.csv and slopes.csv under config.output_dir.
     """
-    cells = [
-        _quiet_cell(config.replace(epsilon=float(e), delta_t=float(dt)))
-        for e in eps_list
-        for dt in dt_list
-    ]
+    cells = [_quiet(config, epsilon=float(e), delta_t=float(dt)) for e in eps_list for dt in dt_list]
     refs = {float(e): reference_filtered(config.replace(epsilon=float(e)), cache_dir) for e in eps_list}
     rows = []
     for cell in cells:
@@ -593,29 +581,29 @@ def convergence_study(
             x = np.log([p[0] for p in pts])
             y = np.log([p[1] for p in pts])
             slopes.append((float(e), float(np.polyfit(x, y, 1)[0])))
-    if write:
-        out = Path(config.output_dir)
-        _atomic_savetxt(out / "convergence.csv", np.array(rows), "epsilon,dt,error")
-        if slopes:
-            _atomic_savetxt(out / "slopes.csv", np.array(slopes), "epsilon,slope")
+    out = Path(config.output_dir)
+    _atomic_savetxt(out / "convergence.csv", np.array(rows), "epsilon,dt,error")
+    if slopes:
+        _atomic_savetxt(out / "slopes.csv", np.array(slopes), "epsilon,slope")
     return rows, slopes
 
 
 TABLE_EPSILONS = (1.0, 0.5, 0.25, 0.1, 0.01)
 
 
-def table_study(config: RunConfig, eps_list=TABLE_EPSILONS, cache_dir: str | None = None, write: bool = True):
+def table_study(config: RunConfig, eps_list=TABLE_EPSILONS, cache_dir: str | None = None):
     """Relative Linf errors of ap, second-order and limit fields vs fine splitting.
 
     Reproduces the headline accuracy table; rows are
     (eps, err_ap, err_second_order, err_limit) at t_final: a quiet ap run and
     each model's closed form at t_final, scored against one splitting reference
     per eps.  The closed forms exist for linear mode with tension cos2sq only,
-    so any other mode or tension is rejected.
+    so any other mode or tension is rejected.  Writes table.csv under
+    config.output_dir.
     """
     rows = []
     for e in eps_list:
-        cfg = _quiet_cell(config.replace(epsilon=float(e)))
+        cfg = _quiet(config, epsilon=float(e))
         _closed_form_only(cfg, "table_study")
         # the table reference is always the fine splitting run, whatever eps
         ref = _splitting_reference(cfg, cache_dir)
@@ -623,12 +611,8 @@ def table_study(config: RunConfig, eps_list=TABLE_EPSILONS, cache_dir: str | Non
         got = [run(cfg.replace(scheme="ap"), write=False).f_tilde]
         got += [reference.model_solution(m, *args) for m in ("second_order", "limit")]
         rows.append((cfg.epsilon, *(rel_error(f, ref, "linf") for f in got)))
-    if write:
-        _atomic_savetxt(
-            Path(config.output_dir) / "table.csv",
-            np.array(rows),
-            "epsilon,err_ap,err_second_order,err_limit",
-        )
+    header = "epsilon,err_ap,err_second_order,err_limit"
+    _atomic_savetxt(Path(config.output_dir) / "table.csv", np.array(rows), header)
     return rows
 
 

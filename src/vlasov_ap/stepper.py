@@ -220,8 +220,17 @@ class DiffusionSolver:
         sup = max(np.abs(d * g).max() for d in (-np.sin(tau), np.cos(tau)))
         mean_sup = max(np.abs((d * g).mean(axis=0)).max() for d in (-np.sin(tau), np.cos(tau)))
         if sup > 0 and mean_sup > 1e-10 * sup:
+            # the field is a(tau) times harmonics 0 and +-2 of tau; if those
+            # products are mean-free on a fine torus, this torus aliased them
+            fine = TorusGrid(1024).nodes
+            a = tension(fine)
+            means = [abs((a * w).mean()) for w in (1.0, np.cos(2 * fine), np.sin(2 * fine))]
+            cause = "the tension is not mean-free"
+            if max(means) <= 1e-10 * abs(a).max():
+                cause = "the torus is too coarse for the tension"
             raise NonMeanFreeTension(
-                f"tension {tension.name!r} leaves a mean field of size {mean_sup:.3e}"
+                f"tension {tension.name!r} leaves a mean field of size {mean_sup:.3e} "
+                f"on n_tau = {torus.n_tau} nodes: {cause}"
             )
         dxi, n = phase.delta_xi, phase.n_points
         # Phi of the applied field on a state, and the four-point average of one (n, n) slice

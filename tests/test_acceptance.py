@@ -196,7 +196,7 @@ SECOND_TARGETS = {1.0: 0.18, 0.5: 0.04, 0.25: 0.01, 0.1: 0.0015}
 
 
 @pytest.fixture(scope="module")
-def error_table():
+def error_table(tmp_path_factory):
     """(eps -> (ap, second, limit)) rows of the t = 2 pi accuracy table.
 
     The rows down to eps = 0.1 are measured by table_study against fine
@@ -207,11 +207,12 @@ def error_table():
     """
     t0 = time.monotonic()
     rows = {}
-    cfg = RunConfig(epsilon=1.0, t_final=2 * np.pi, n_points=128, reference_dt_factor=0.02)
-    for row in table_study(cfg, eps_list=(1.0, 0.5, 0.25), write=False):
+    out = str(tmp_path_factory.mktemp("table"))
+    cfg = RunConfig(epsilon=1.0, t_final=2 * np.pi, n_points=128, reference_dt_factor=0.02, output_dir=out)
+    for row in table_study(cfg, eps_list=(1.0, 0.5, 0.25)):
         rows[row[0]] = row[1:]
-    cfg = RunConfig(epsilon=0.1, t_final=2 * np.pi, n_points=128, reference_dt_factor=0.005)
-    for row in table_study(cfg, eps_list=(0.1,), write=False):
+    cfg = cfg.replace(epsilon=0.1, reference_dt_factor=0.005)
+    for row in table_study(cfg, eps_list=(0.1,)):
         rows[row[0]] = row[1:]
 
     eps = 0.01

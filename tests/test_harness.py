@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -263,7 +265,7 @@ def test_lab_frame_is_built_for_snapshot_steps_only(tmp_path, monkeypatch):
     monkeypatch.setattr(fields, "sample_plane", lambda *a, **k: planes.append(1) or plane(*a, **k))
     # a table row reads f~ of each closed form once, at t_final, and no lab frame
     cfg = RunConfig(epsilon=0.5, t_final=0.1, n_points=32, n_tau=16, output_dir=str(tmp_path))
-    table_study(cfg, eps_list=(0.5,), write=False)
+    table_study(cfg, eps_list=(0.5,))
     assert len(models) == 2
     # rows at steps 0, 4 and 8 and a snapshot at step 3: one lab frame, for the snapshot
     cfg = cfg.replace(delta_t=0.0125, rms_every=4, snapshot_times=(0.0375,))
@@ -323,14 +325,14 @@ def test_diffusion_starts_from_the_configured_beam():
     assert np.abs(result.f_tilde - want).max() < 1e-13
 
 
-def test_closed_forms_are_cos2sq_only():
+def test_closed_forms_are_cos2sq_only(tmp_path):
     for scheme in ("limit", "second_order"):
         cfg = RunConfig(epsilon=0.05, t_final=0.0, n_points=32, scheme=scheme, tension="cos4")
         with pytest.raises(ValueError, match="cos2sq"):
             run(cfg, write=False)
-    cfg = RunConfig(epsilon=0.05, t_final=0.02, n_points=32, tension="cos4")
+    cfg = RunConfig(epsilon=0.05, t_final=0.02, n_points=32, tension="cos4", output_dir=str(tmp_path))
     with pytest.raises(ValueError, match="cos2sq"):
-        table_study(cfg, eps_list=(0.05,), write=False)
+        table_study(cfg, eps_list=(0.05,))
     # the linear reference is exact for every tension
     x1, x2 = cfg.phase().mesh()
     want = model_solution("exact", cfg.t_final, cfg.epsilon, get_tension("cos4"), x1, x2, cfg.f0_params())
@@ -464,6 +466,18 @@ def test_reference_cache_replaces_a_truncated_entry(tmp_path, monkeypatch):
     # replaced in place, no temp file left behind
     assert [p.name for p in cache.iterdir()] == [entry.name]
     assert np.array_equal(np.load(entry), first)
+    # a save that fails on a miss propagates and leaves no temp file; the next
+    # call reads the good entry, as a miss would save and fail again
+    def fail(fh, _):
+        fh.write(b"partial")
+        raise OSError("disk full")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "save", fail)
+        with pytest.raises(OSError, match="disk full"):
+            reference_filtered(cfg.replace(epsilon=0.5), cache_dir=str(cache))
+        assert [p.name for p in cache.iterdir()] == [entry.name]
+        assert np.array_equal(reference_filtered(cfg, cache_dir=str(cache)), first)
     # a new format version never reads the old entries
     monkeypatch.setattr(harness, "REFERENCE_CACHE_VERSION", harness.REFERENCE_CACHE_VERSION + 1)
     reference_filtered(cfg, cache_dir=str(cache))
@@ -503,40 +517,51 @@ def test_reference_n_must_match_grid():
 
 # inputs a splitting reference ignores share its cache entry; inputs that
 # change its numbers get their own
-@pytest.mark.parametrize(
-    "key, value, shared",
-    [
-        ("n_tau", 8, True),
-        ("init", "plain", True),
-        ("delta_t", 0.01, True),
-        ("scheme", "splitting", True),
-        ("output_dir", "elsewhere", True),
-        ("snapshot_times", (0.02,), True),
-        ("rms_every", 3, True),
-        ("tension", "cos4", False),
-        ("xi_max", 4.5, False),
-        ("alpha", 0.25, False),
-        ("reference_dt_factor", 0.04, False),
-        ("reference_n", 128, False),
-    ],
-)
+CACHE_KEY_CASES = [
+    ("n_tau", 8, True),
+    ("init", "plain", True),
+    ("delta_t", 0.01, True),
+    ("scheme", "splitting", True),
+    ("output_dir", "elsewhere", True),
+    ("snapshot_times", (0.02,), True),
+    ("rms_every", 3, True),
+    ("tension", "cos4", False),
+    ("xi_max", 4.5, False),
+    ("alpha", 0.25, False),
+    ("reference_dt_factor", 0.04, False),
+    ("reference_n", 128, False),
+    ("epsilon", 0.25, False),
+    ("t_final", 0.05, False),
+    ("n_points", 64, False),
+    ("mode", "linear", False),
+    ("edge", 1.0, False),
+    ("width", 0.4, False),
+]
+
+
+@pytest.mark.parametrize("key, value, shared", CACHE_KEY_CASES)
 def test_reference_cache_key_is_the_reference_config(tmp_path, key, value, shared):
     cache = tmp_path / "cache"
     cfg = RunConfig(epsilon=0.5, t_final=0.04, n_points=32, n_tau=16, mode="poisson")
-    first = reference_filtered(cfg, cache_dir=str(cache))
+    first = harness._splitting_reference(cfg, cache_dir=str(cache))
     (entry,) = cache.iterdir()
     # a marker coming back proves the changed config reads the same entry
     marker = np.full_like(first, 7.0)
     np.save(entry, marker)
-    got = reference_filtered(cfg.replace(**{key: value}), cache_dir=str(cache))
+    got = harness._splitting_reference(cfg.replace(**{key: value}), cache_dir=str(cache))
     assert len(list(cache.iterdir())) == (1 if shared else 2)
     assert np.array_equal(got, marker) == shared
 
 
-def test_diffusion_converges_against_its_own_time():
+def test_reference_cache_key_cases_cover_every_field():
+    # a new RunConfig field needs a case saying whether references share it
+    assert {key for key, _, _ in CACHE_KEY_CASES} == {f.name for f in dataclasses.fields(RunConfig)}
+
+
+def test_diffusion_converges_against_its_own_time(tmp_path):
     # the diffusion scheme at time t is the standard problem at t/eps; scored
     # against that, the error falls at second order (2.07 measured)
     cfg = RunConfig(epsilon=0.2, t_final=0.1, n_points=64, n_tau=32, scheme="diffusion",
-                    tension="cos4", alpha=0.4, edge=0.8, init="plain")
-    _, slopes = convergence_study(cfg, [0.005, 0.0025], [0.2], write=False)
+                    tension="cos4", alpha=0.4, edge=0.8, init="plain", output_dir=str(tmp_path))
+    _, slopes = convergence_study(cfg, [0.005, 0.0025], [0.2])
     assert slopes[0][1] >= 1.8, slopes

@@ -447,10 +447,11 @@ def test_readout_full_turn():
 
 
 def test_diffusion_solver_rejects_mean_field():
-    grid = PhaseGrid(16)
-    torus = TorusGrid(16)
-    with pytest.raises(NonMeanFreeTension):
-        DiffusionSolver(grid, torus, get_tension("cos2sq"), 0.1)
+    # cos2sq has a mean; four nodes alias the mean-free cos4 field onto one
+    cases = [(16, "cos2sq", "n_tau = 16 .*tension is not mean-free"), (4, "cos4", "n_tau = 4 .*torus is too coarse")]
+    for n_tau, tension, match in cases:
+        with pytest.raises(NonMeanFreeTension, match=match):
+            DiffusionSolver(PhaseGrid(16), TorusGrid(n_tau), get_tension(tension), 0.1)
 
 
 def test_diffusion_step_invariants():
