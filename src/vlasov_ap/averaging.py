@@ -28,8 +28,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NonZeroMeanInput
-
 # relative tolerance for "this input is mean-free"
 MEAN_FREE_RTOL = 1e-12
 
@@ -61,7 +59,7 @@ def _check_mean_free(g: np.ndarray):
     sup = np.abs(g).max() if g.size else 0.0
     mean_sup = np.abs(g.mean(axis=0)).max() if g.size else 0.0
     if mean_sup > MEAN_FREE_RTOL * sup:
-        raise NonZeroMeanInput(
+        raise ValueError(
             f"input has tau-mean {mean_sup:.3e} (sup {sup:.3e}); apply fluctuation() first"
         )
 
@@ -74,7 +72,8 @@ def explicit_tau(g: np.ndarray, lam: float) -> np.ndarray:
 def invert_derivative(g: np.ndarray) -> np.ndarray:
     """L^{-1} g: the unique mean-free primitive of a mean-free g.
 
-    Raises NonZeroMeanInput when |Pi g| exceeds MEAN_FREE_RTOL * sup|g|.
+    Raises ValueError (exit 2 through the cli) when |Pi g| exceeds
+    MEAN_FREE_RTOL * sup|g|.
     """
     g = np.asarray(g, dtype=float)
     _check_mean_free(g)

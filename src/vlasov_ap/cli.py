@@ -2,8 +2,10 @@
 
 All commands except selftest take a flat ``key = value`` config file; any
 entry can be overridden with ``--set key=value``, repeated as needed.  Exit
-status is 0 on success, 1 on a runtime failure (blow-up, bad reference, any
-failed selftest check), 2 on a configuration mistake.
+status is 0 on success; 1 on a RuntimeError (blow-up, zero reference, no
+field for the CFL step) or any failed selftest check; 2 on a ValueError or
+OSError (a configuration mistake, input the solver rejects, an unreadable
+file).  No other exception is caught, so a bug shows its traceback.
 """
 from __future__ import annotations
 

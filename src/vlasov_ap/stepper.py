@@ -45,7 +45,6 @@ from scipy.sparse import dia_matrix
 
 from . import averaging, fields
 from .domain import PhaseGrid, TorusGrid, initial_distribution
-from .errors import NonMeanFreeTension, StabilityFailure, ZeroField
 
 
 def xi_operator(g: np.ndarray, tau: np.ndarray, delta_xi: float, c_avg: float, c_flux: float):
@@ -85,7 +84,7 @@ def cfl_dt(g: np.ndarray, tau: np.ndarray, delta_xi: float) -> float:
     tau = np.reshape(tau, (-1,) + (1,) * (np.ndim(g) - 1))
     emax = (np.maximum(np.abs(np.sin(tau)), np.abs(np.cos(tau))) * np.abs(g)).max()
     if emax == 0.0:
-        raise ZeroField("advecting field vanishes; provide delta_t explicitly")
+        raise RuntimeError("advecting field vanishes; provide delta_t explicitly")
     return delta_xi / emax
 
 
@@ -168,7 +167,7 @@ class APSolver:
         rhs += averaging.explicit_tau(state, lam)
         out = averaging.solve_implicit_tau(rhs, lam)
         if not np.all(np.isfinite(out)):
-            raise StabilityFailure("non-finite values in the state; reduce dt")
+            raise RuntimeError("non-finite values in the state; reduce dt")
         return out
 
     def _xi_operator(self, stage: int, f: np.ndarray, dt: float):
@@ -193,6 +192,18 @@ class APSolver:
         return cfl_dt(self._field_amplitude(state), self.torus.nodes, self.phase.delta_xi)
 
 
+def _largest_mean(tension: fields.Tension, nodes: np.ndarray) -> float:
+    """Largest |tau-mean| of a, a cos 2tau and a sin 2tau on the nodes, over sup |a| (0 if a = 0).
+
+    The applied field is a(tau) times harmonics 0 and +-2 of tau, so it is
+    mean-free for every xi exactly when all three means vanish.
+    """
+    a = tension(nodes)
+    sup = np.abs(a).max()
+    means = [abs((a * w).mean()) for w in (1.0, np.cos(2 * nodes), np.sin(2 * nodes))]
+    return max(means) / sup if sup else 0.0
+
+
 class DiffusionSolver:
     """Micro-macro stepper for the diffusion time scale (tau = t/eps^2 driver).
 
@@ -211,30 +222,22 @@ class DiffusionSolver:
         epsilon: float,
         f0_params: dict | None = None,
     ):
+        m = _largest_mean(tension, torus.nodes)
+        if m > 1e-10:
+            # mean-free products on a fine torus mean this torus aliased them
+            cause = "the tension is not mean-free"
+            if _largest_mean(tension, TorusGrid(1024).nodes) <= 1e-10:
+                cause = "the torus is too coarse for the tension"
+            raise ValueError(
+                f"tension {tension.name!r} leaves a mean field of relative size {m:.3e} "
+                f"on n_tau = {torus.n_tau} nodes: {cause}"
+            )
         self.phase = phase
         self.epsilon = epsilon
         self.transport = APSolver(phase, torus, tension, epsilon, f0_params=f0_params)
-        g = self.transport.applied_amplitude
-        tau = torus.nodes.reshape(-1, 1, 1)
-        # sup |E| and sup |Pi E|, one field component at a time
-        sup = max(np.abs(d * g).max() for d in (-np.sin(tau), np.cos(tau)))
-        mean_sup = max(np.abs((d * g).mean(axis=0)).max() for d in (-np.sin(tau), np.cos(tau)))
-        if sup > 0 and mean_sup > 1e-10 * sup:
-            # the field is a(tau) times harmonics 0 and +-2 of tau; if those
-            # products are mean-free on a fine torus, this torus aliased them
-            fine = TorusGrid(1024).nodes
-            a = tension(fine)
-            means = [abs((a * w).mean()) for w in (1.0, np.cos(2 * fine), np.sin(2 * fine))]
-            cause = "the tension is not mean-free"
-            if max(means) <= 1e-10 * abs(a).max():
-                cause = "the torus is too coarse for the tension"
-            raise NonMeanFreeTension(
-                f"tension {tension.name!r} leaves a mean field of size {mean_sup:.3e} "
-                f"on n_tau = {torus.n_tau} nodes: {cause}"
-            )
         dxi, n = phase.delta_xi, phase.n_points
         # Phi of the applied field on a state, and the four-point average of one (n, n) slice
-        self._flux = xi_operator(g, torus.nodes, dxi, 0.0, 1.0)
+        self._flux = xi_operator(self.transport.applied_amplitude, torus.nodes, dxi, 0.0, 1.0)
         self._average = xi_operator(np.zeros((1, n, n)), torus.nodes[:1], dxi, 1.0, 0.0)
 
     def initial_split(self, init: str = "corrected"):
@@ -266,5 +269,5 @@ class DiffusionSolver:
         rhs -= (dt / eps) * averaging.fluctuation(self._phi(0.5 * (g_new + g)[None] + h_half))
         h_new = averaging.solve_implicit_tau(rhs, lam)
         if not (np.all(np.isfinite(g_new)) and np.all(np.isfinite(h_new))):
-            raise StabilityFailure("non-finite values in the micro-macro state; reduce dt")
+            raise RuntimeError("non-finite values in the micro-macro state; reduce dt")
         return g_new, h_new

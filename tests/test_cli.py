@@ -13,7 +13,6 @@ import pytest
 import vlasov_ap
 from vlasov_ap import averaging, cli, harness, stepper
 from vlasov_ap.cli import main
-from vlasov_ap.errors import ZeroReference
 
 ROOT = Path(__file__).resolve().parents[1]
 PYPROJECT = ROOT / "pyproject.toml"
@@ -145,6 +144,12 @@ def test_diffusion_needs_explicit_step(tmp_path, capsys):
     assert "delta_t" in capsys.readouterr().err
 
 
+def test_diffusion_tension_with_a_mean_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path / "run.cfg", output_dir=tmp_path / "out")
+    assert main(["run", cfg, "--set", "scheme=diffusion", "--set", "tension=cos2sq"]) == 2
+    assert "cos2sq" in capsys.readouterr().err
+
+
 def test_blow_up_exits_1(tmp_path, capsys):
     cfg = write_config(tmp_path / "run.cfg", t_final=2000.0, delta_t=4.0,
                        output_dir=tmp_path / "out")
@@ -154,7 +159,7 @@ def test_blow_up_exits_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("error, code", [(ZeroReference, 1), (ZeroDivisionError, None)])
+@pytest.mark.parametrize("error, code", [(RuntimeError, 1), (ZeroDivisionError, None)])
 def test_only_runtime_failures_exit_1(error, code, tmp_path, monkeypatch, capsys):
     # a zero reference is a runtime failure; any other division by zero is a
     # bug, and its traceback must reach the user

@@ -16,7 +16,6 @@ from test_fields import applied_pair, field_pair
 
 from vlasov_ap import averaging
 from vlasov_ap.domain import PhaseGrid, TorusGrid, initial_distribution
-from vlasov_ap.errors import NonMeanFreeTension, StabilityFailure, ZeroField
 from vlasov_ap.fields import Tension, applied_amplitude, get_tension, self_field
 from vlasov_ap.harness import _two_scale_readout
 from vlasov_ap.stepper import APSolver, DiffusionSolver, cfl_dt, xi_operator
@@ -352,11 +351,11 @@ def test_advance_flags_non_finite():
     torus = TorusGrid(4)
     solver = APSolver(grid, torus, get_tension("cos2sq"), 1.0)
     bad = np.full((4, 8, 8), np.nan)
-    with pytest.raises(StabilityFailure):
+    with pytest.raises(RuntimeError, match="non-finite values in the state; reduce dt"):
         solver.advance(bad, 0.01)
     # four torus nodes alias the cos4 field onto a mean; eight resolve it
     diffusion = DiffusionSolver(grid, TorusGrid(8), get_tension("cos4"), 1.0)
-    with pytest.raises(StabilityFailure):
+    with pytest.raises(RuntimeError, match="non-finite values in the micro-macro state; reduce dt"):
         diffusion.step(bad[0], np.full((8, 8, 8), np.nan), 0.01)
 
 
@@ -410,7 +409,7 @@ def test_cfl_dt():
     # |E| peaks where one component takes all of |g|, at tau = 0 here
     g = np.full((2, 4, 4), 2.0)
     assert cfl_dt(g, np.array([0.0, np.pi / 4]), 0.5) == 0.25
-    with pytest.raises(ZeroField):
+    with pytest.raises(RuntimeError, match="advecting field vanishes; provide delta_t explicitly"):
         cfl_dt(np.zeros(3), np.zeros(3), 0.5)
 
 
@@ -450,8 +449,19 @@ def test_diffusion_solver_rejects_mean_field():
     # cos2sq has a mean; four nodes alias the mean-free cos4 field onto one
     cases = [(16, "cos2sq", "n_tau = 16 .*tension is not mean-free"), (4, "cos4", "n_tau = 4 .*torus is too coarse")]
     for n_tau, tension, match in cases:
-        with pytest.raises(NonMeanFreeTension, match=match):
+        with pytest.raises(ValueError, match=match):
             DiffusionSolver(PhaseGrid(16), TorusGrid(n_tau), get_tension(tension), 0.1)
+
+
+def test_diffusion_solver_rejects_a_mean_free_tension_with_a_mean_field():
+    # a(tau) = cos 2tau or sin 2tau has no mean, but a(tau) (xi1 cos tau + xi2 sin tau)
+    # (-sin tau, cos tau) does: a times harmonic 2 of tau has one
+    harmonics = [(lambda t: np.cos(2 * t), lambda t: np.sin(2 * t) / 2),
+                 (lambda t: np.sin(2 * t), lambda t: -np.cos(2 * t) / 2)]
+    for func, primitive in harmonics:
+        tension = Tension("harmonic2", func, primitive)
+        with pytest.raises(ValueError, match="'harmonic2' .*n_tau = 16 .*tension is not mean-free"):
+            DiffusionSolver(PhaseGrid(16), TorusGrid(16), tension, 0.1)
 
 
 def test_diffusion_step_invariants():
