@@ -159,10 +159,12 @@ def test_blow_up_exits_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("error, code", [(RuntimeError, 1), (ZeroDivisionError, None)])
+@pytest.mark.parametrize("error, code", [(RuntimeError, 1), (ZeroDivisionError, None)],
+                         ids=["ZeroReference-1", "ZeroDivisionError-None"])
 def test_only_runtime_failures_exit_1(error, code, tmp_path, monkeypatch, capsys):
-    # a zero reference is a runtime failure; any other division by zero is a
-    # bug, and its traceback must reach the user
+    # a zero reference (harness.rel_error raises RuntimeError) is a runtime
+    # failure; any other division by zero is a bug, and its traceback must
+    # reach the user
     def fail(config, write=True):
         raise error("division by zero")
 
