@@ -139,7 +139,8 @@ class FrameRotator:
     """The self-field's two linear maps between the xi mesh and the (r, v) mesh.
 
     The rotation angles and both grids never change during a run, so both maps
-    are built once, one tau slice at a time, as CSR matrices with int32 indices:
+    are built once as CSR matrices with int32 indices, one tau slice at a time,
+    each bracketing corner written straight into the preallocated entry arrays:
 
     to_density, (n_tau*n) x (n_tau*n*n): samples each tau slice of a state
         bilinearly at the rotated nodes xi = e^{-J tau_l} (r, v) and sums over
@@ -166,29 +167,32 @@ class FrameRotator:
         a, b = phase.mesh()  # (r, v) for the density, (xi1, xi2) for the spread
         for l, tau in enumerate(torus.nodes):
             x1, x2 = rotate_to_xi(tau, a, b)
-            i1, w1 = _linear_weights(phase, x1)
-            i2, w2 = _linear_weights(phase, x2)
-            dens_idx[l] = l * n * n + n * i1[..., :, None] + i2[..., None, :]
-            dens_w[l] = phase.delta_xi * w1[..., :, None] * w2[..., None, :]
-            k, w = _linear_weights(phase, rotate_to_rv(tau, a, b)[0])
-            spread_idx[l] = l * n + k
-            spread_w[l] = w
+            corners2 = _linear_weights(phase, x2)
+            for c1, (i1, w1) in enumerate(_linear_weights(phase, x1)):
+                col, w1 = l * n * n + n * i1, phase.delta_xi * w1
+                for c2, (i2, w2) in enumerate(corners2):
+                    np.add(col, i2, out=dens_idx[l, ..., c1, c2])
+                    np.multiply(w1, w2, out=dens_w[l, ..., c1, c2])
+            for c, (k, w) in enumerate(_linear_weights(phase, rotate_to_rv(tau, a, b)[0])):
+                np.add(l * n, k, out=spread_idx[l, ..., c])
+                spread_w[l, ..., c] = w
         self.to_density = _fixed_row_csr(dens_idx.reshape(nt * n, -1), dens_w, nt * n * n)
         self.spread = _fixed_row_csr(spread_idx.reshape(nt * n * n, -1), spread_w, nt * n)
 
 
 def _linear_weights(grid: PhaseGrid, x: np.ndarray):
-    """The two grid nodes bracketing each x and their linear weights, shape x.shape + (2,).
+    """The two grid nodes bracketing each x, as two (index, weight) pairs shaped like x.
 
     A bracketing node off the grid is a zero ghost: weight 0, index clipped to 0.
     """
     g = (x + grid.xi_max) / grid.delta_xi
-    k0 = np.floor(g)
-    frac = g - k0
-    k = k0[..., None] + np.array([0.0, 1.0])
-    w = np.stack([1.0 - frac, frac], axis=-1)
-    inside = (k >= 0) & (k < grid.n_points)
-    return np.where(inside, k, 0).astype(np.int32), np.where(inside, w, 0.0)
+    k = np.floor(g)
+    frac = g - k
+    pairs = []
+    for node, w in ((k, 1.0 - frac), (k + 1.0, frac)):
+        inside = (node >= 0) & (node < grid.n_points)
+        pairs.append((np.where(inside, node, 0).astype(np.int32), np.where(inside, w, 0.0)))
+    return pairs
 
 
 def _fixed_row_csr(idx: np.ndarray, w: np.ndarray, n_cols: int) -> csr_matrix:

@@ -30,7 +30,7 @@ g (see xi_operator):
 with I - lam L one nodal matrix product.  In linear mode g is the applied
 amplitude alone, so P and Q are built once for a given dt and kept.  In
 poisson mode g includes the self-field of the stage's state, so P is built
-from F and Q from F*, each used for one product and freed.
+from F and Q from F*, in turn, into one data buffer that the solver keeps.
 
 A micro-macro variant of the same pattern handles the longer diffusion time
 scale, where the tension is mean-free and the solution is split as
@@ -47,7 +47,7 @@ from . import averaging, fields
 from .domain import PhaseGrid, TorusGrid, initial_distribution
 
 
-def xi_operator(g: np.ndarray, tau: np.ndarray, delta_xi: float, c_avg: float, c_flux: float):
+def xi_operator(g: np.ndarray, tau: np.ndarray, delta_xi: float, c_avg: float, c_flux: float, out=None):
     """c_avg * (four-point average) + c_flux * Phi for the field g (-sin tau, cos tau), as a DIA matrix.
 
     g has the state's shape (n_tau, n, n) and tau its n_tau angles; the
@@ -56,13 +56,13 @@ def xi_operator(g: np.ndarray, tau: np.ndarray, delta_xi: float, c_avg: float, c
     hold c_avg/4 -+ c sin(tau) g and c_avg/4 +- c cos(tau) g, c = c_flux /
     (2 delta_xi), with g taken at the neighbour.  A neighbour outside the box
     gets weight 0, which is the zero ghost.  The matrix holds 4 values per
-    state entry and no index arrays.
+    state entry and no index arrays, written to out, a (4,) + g.shape array, if given.
     """
     n = g.shape[-1]
     c = c_flux / (2.0 * delta_xi)
     tau = np.reshape(tau, (-1, 1, 1))
     q = 0.25 * c_avg
-    data = np.empty((4,) + g.shape)
+    data = np.empty((4,) + g.shape) if out is None else out
     # each pair of diagonals is q +- c e for one component e of the field
     for plus, minus, direction in zip(data[::2], data[1::2], (-np.sin(tau), np.cos(tau))):
         np.multiply(g, c * direction, out=plus)
@@ -120,6 +120,7 @@ class APSolver:
         self.applied_amplitude = fields.applied_amplitude(tension, tau, x1, x2)
         self.rotator = fields.FrameRotator(phase, torus) if mode == "poisson" else None
         self._xi_operators = None  # (dt, P, Q) of the linear step, built at its first advance
+        self._stage_data = None  # the poisson stages' one DIA data buffer, made at the first stage
 
     def _field_amplitude(self, state: np.ndarray) -> np.ndarray:
         """g of the field g (-sin tau, cos tau): applied plus, in poisson mode, the state's self-field."""
@@ -173,20 +174,22 @@ class APSolver:
     def _xi_operator(self, stage: int, f: np.ndarray, dt: float):
         """The xi part of the predictor (stage 0, P) or the corrector (stage 1, Q) for step dt.
 
-        Linear mode keeps both while dt holds.  Poisson mode builds the one
-        asked for from the field of f, the state that stage acts on.
+        Linear mode keeps both while dt holds.  Poisson mode builds the one asked
+        for, from the field of f, into one data buffer shared by every stage.
         """
         if self.mode == "poisson":
-            return self._stage_operator(stage, self._field_amplitude(f), dt)
+            if self._stage_data is None:
+                self._stage_data = np.empty((4,) + f.shape)
+            return self._stage_operator(stage, self._field_amplitude(f), dt, self._stage_data)
         if self._xi_operators is None or self._xi_operators[0] != dt:
             self._xi_operators = None  # free the old pair before the new one is allocated
             g = self.applied_amplitude
             self._xi_operators = (dt, self._stage_operator(0, g, dt), self._stage_operator(1, g, dt))
         return self._xi_operators[1 + stage]
 
-    def _stage_operator(self, stage: int, g: np.ndarray, dt: float):
+    def _stage_operator(self, stage: int, g: np.ndarray, dt: float, out=None):
         c_avg, c_flux = ((1.0, -0.5 * dt), (0.0, -dt))[stage]
-        return xi_operator(g, self.torus.nodes, self.phase.delta_xi, c_avg, c_flux)
+        return xi_operator(g, self.torus.nodes, self.phase.delta_xi, c_avg, c_flux, out=out)
 
     def suggest_dt(self, state: np.ndarray) -> float:
         return cfl_dt(self._field_amplitude(state), self.torus.nodes, self.phase.delta_xi)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from vlasov_ap.averaging import project_mean
-from vlasov_ap.domain import PhaseGrid, TorusGrid, initial_distribution, rotate_to_xi
+from vlasov_ap.domain import PhaseGrid, TorusGrid, initial_distribution, rotate_to_rv, rotate_to_xi
 from vlasov_ap.fields import (
     FrameRotator,
     applied_amplitude,
@@ -246,6 +246,55 @@ def test_self_field_against_loop_oracle():
         want1, want2 = _self_field_loops(state, phase, torus)
         np.testing.assert_allclose(got1, want1, atol=1e-13)
         np.testing.assert_allclose(got2, want2, atol=1e-13)
+
+
+def _rotator_stacks(phase, torus):
+    """The rotator's entries built one tau slice at a time from (..., 2) corner stacks.
+
+    The (index, weight) arrays of to_density and spread, row-major as the CSR
+    matrices store them, and the number of ghost corners met.
+    """
+    n, nt = phase.n_points, torus.n_tau
+
+    def weights(x):
+        g = (x + phase.xi_max) / phase.delta_xi
+        k0 = np.floor(g)
+        frac = g - k0
+        k = k0[..., None] + np.array([0.0, 1.0])
+        w = np.stack([1.0 - frac, frac], axis=-1)
+        inside = (k >= 0) & (k < n)
+        return np.where(inside, k, 0).astype(np.int32), np.where(inside, w, 0.0), (~inside).sum()
+
+    dens_idx = np.empty((nt, n, n, 2, 2), dtype=np.int32)
+    dens_w = np.empty((nt, n, n, 2, 2))
+    spread_idx = np.empty((nt, n, n, 2), dtype=np.int32)
+    spread_w = np.empty((nt, n, n, 2))
+    ghosts = 0
+    a, b = phase.mesh()
+    for l, tau in enumerate(torus.nodes):
+        x1, x2 = rotate_to_xi(tau, a, b)
+        (i1, w1, g1), (i2, w2, g2) = weights(x1), weights(x2)
+        dens_idx[l] = l * n * n + n * i1[..., :, None] + i2[..., None, :]
+        dens_w[l] = phase.delta_xi * w1[..., :, None] * w2[..., None, :]
+        k, w, g3 = weights(rotate_to_rv(tau, a, b)[0])
+        spread_idx[l] = l * n + k
+        spread_w[l] = w
+        ghosts += g1 + g2 + g3
+    return (dens_idx.ravel(), dens_w.ravel()), (spread_idx.ravel(), spread_w.ravel()), ghosts
+
+
+@pytest.mark.parametrize("n, n_tau", [(16, 8), (32, 16)])
+def test_frame_rotator_matches_the_stacked_construction_entry_for_entry(n, n_tau):
+    # at xi_max 3.5 delta_xi is not a power of two, so the order of the weight products shows
+    phase, torus = PhaseGrid(n, 3.5), TorusGrid(n_tau)
+    rot = FrameRotator(phase, torus)
+    dens, spread, ghosts = _rotator_stacks(phase, torus)
+    assert ghosts > 0  # rotated nodes leave the box, so zero ghosts are stored
+    for mat, (idx, w), per_row in ((rot.to_density, dens, 4 * n), (rot.spread, spread, 2)):
+        assert np.array_equal(mat.data, w)
+        assert np.array_equal(mat.indices, idx)
+        assert np.array_equal(mat.indptr, np.arange(0, idx.size + 1, per_row))
+        assert mat.indices.dtype == mat.indptr.dtype == np.int32
 
 
 def test_frame_rotator_rejects_int32_overflow():

@@ -195,6 +195,27 @@ def test_runs_are_bit_identical(tmp_path):
             assert a == b
 
 
+def _csv_cases():
+    rng = np.random.default_rng(5)
+    snapshot = rng.standard_normal((32 * 32, 4))
+    snapshot[:6, 2] = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e300]
+    yield pytest.param(snapshot, "xi1,xi2,f_tilde,f_rv", id="snapshot")
+    for rows in (harness.CSV_BLOCK_ROWS - 1, harness.CSV_BLOCK_ROWS, harness.CSV_BLOCK_ROWS + 1):
+        yield pytest.param(rng.random((rows, 4)), "time,rms,mass,boundary_mass_fraction", id=f"{rows}-rows")
+    yield pytest.param(np.array([[0.0, 0.25, 1.0, 1e-7]]), "time,rms,mass,boundary_mass_fraction", id="one-rms-row")
+    # converge writes its slopes as np.array(slopes).reshape(-1, 2), header-only without a slope
+    yield pytest.param(np.array([]).reshape(-1, 2), "epsilon,slope", id="no-slope")
+    yield pytest.param(rng.random(7), "x", id="1-D")
+
+
+@pytest.mark.parametrize("rows, header", _csv_cases())
+def test_csv_files_are_the_bytes_of_savetxt(rows, header, tmp_path):
+    harness._atomic_savetxt(tmp_path / "out.csv", rows, header)
+    with open(tmp_path / "want.csv", "wb") as fh:
+        np.savetxt(fh, rows, fmt=harness.FMT, delimiter=",", header=header, comments="")
+    assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
 def test_meta_reports_resolved_step(tmp_path):
     cfg = RunConfig(epsilon=0.5, t_final=0.05, n_points=32, n_tau=16,
                     delta_t=0.02, output_dir=str(tmp_path))

@@ -264,10 +264,13 @@ def test_advance_matches_fft_reference(mode):
         assert_rel_close(f, ref)
 
 
-def test_advance_rebuilds_its_operators_when_dt_changes():
+# linear mode keeps P and Q while dt holds; poisson mode writes every stage's
+# operator into one kept buffer, so a stale diagonal would show here too
+@pytest.mark.parametrize("mode", ["linear", "poisson"])
+def test_advance_rebuilds_its_operators_when_dt_changes(mode):
     grid = PhaseGrid(32)
     torus = TorusGrid(16)
-    solver = APSolver(grid, torus, get_tension("cos2sq"), 0.25)
+    solver = APSolver(grid, torus, get_tension("cos2sq"), 0.25, mode=mode)
     f = ref = solver.initial_state("corrected")
     dt = 0.5 * solver.suggest_dt(f)
     for step in (dt, 0.5 * dt, dt):
