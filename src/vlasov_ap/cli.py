@@ -53,9 +53,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_converge(args) -> int:
     config = _load_config(args)
-    rows, slopes = harness.convergence_study(
-        config, args.dt, args.eps, cache_dir=args.reference_cache
-    )
+    rows, slopes = harness.convergence_study(config, args.dt, args.eps)
     print("epsilon        dt             error")
     for eps, dt, err in rows:
         print(f"{eps:<14.6g} {dt:<14.6g} {err:.6e}")
@@ -92,7 +90,6 @@ def main(argv=None) -> int:
     _add_config_arguments(p)
     p.add_argument("--dt", type=_floats, required=True, help="comma separated dt list")
     p.add_argument("--eps", type=_floats, required=True, help="comma separated epsilon list")
-    p.add_argument("--reference-cache", help="directory memoizing reference runs")
     p.set_defaults(func=_cmd_converge)
 
     p = sub.add_parser("table", help="error table of ap and models vs fine splitting")

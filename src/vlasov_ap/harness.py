@@ -28,8 +28,8 @@ splitting run in poisson mode.  The error table always uses the fine
 splitting run.  A splitting reference is its cell run quietly by the
 ``splitting`` scheme of this loop on the fine grid, with the inputs it does
 not inherit (n_tau, init, delta_t, output_dir, reference_n) reset to their
-defaults.  It can be cached on disk, keyed by that run's config plus
-REFERENCE_CACHE_VERSION; an entry that fails to load is recomputed.
+defaults.  The table's references can be cached on disk, keyed by that run's
+config plus REFERENCE_CACHE_VERSION; an entry that fails to load is recomputed.
 ``selftest`` runs a few small end-to-end checks against the same references.
 """
 from __future__ import annotations
@@ -548,14 +548,14 @@ def _splitting_reference(config: RunConfig, cache_dir=None) -> np.ndarray:
     return coarse
 
 
-def reference_filtered(config: RunConfig, cache_dir: str | None = None) -> np.ndarray:
+def reference_filtered(config: RunConfig) -> np.ndarray:
     """Filtered reference field at t_final on the config's grid.
 
     Linear mode has the exact solution, the "exact" model of
     ``reference.model_solution``, for any tension.  Poisson mode uses a fine
     splitting run (reference_n nodes, the splitting scheme's own dt rule),
-    rotated to the xi frame with cubic sampling, restricted to the coarse
-    grid node-for-node and cached in ``cache_dir`` when one is given.
+    rotated to the xi frame with cubic sampling and restricted to the coarse
+    grid node-for-node; it is recomputed on every call.
     """
     if config.mode == "linear":
         # the diffusion scheme runs 1/eps faster than the standard problem
@@ -565,10 +565,10 @@ def reference_filtered(config: RunConfig, cache_dir: str | None = None) -> np.nd
         return reference.model_solution(
             "exact", t, config.epsilon, get_tension(config.tension), x1, x2, config.f0_params()
         )
-    return _splitting_reference(config, cache_dir)
+    return _splitting_reference(config)
 
 
-def convergence_study(config: RunConfig, dt_list, eps_list, cache_dir: str | None = None):
+def convergence_study(config: RunConfig, dt_list, eps_list):
     """Errors of the configured scheme over a (eps, dt) sweep, plus log-log slopes.
 
     Returns (rows, slopes): rows are (eps, dt actually used, relative L2 error
@@ -577,7 +577,7 @@ def convergence_study(config: RunConfig, dt_list, eps_list, cache_dir: str | Non
     slopes.csv is header-only when no eps has two dts.
     """
     cells = [_quiet(config, epsilon=float(e), delta_t=float(dt)) for e in eps_list for dt in dt_list]
-    refs = {float(e): reference_filtered(config.replace(epsilon=float(e)), cache_dir) for e in eps_list}
+    refs = {float(e): reference_filtered(config.replace(epsilon=float(e))) for e in eps_list}
     rows = []
     for cell in cells:
         res = run(cell, write=False)
@@ -604,15 +604,14 @@ def table_study(config: RunConfig, eps_list=TABLE_EPSILONS, cache_dir: str | Non
     Reproduces the headline accuracy table; rows are
     (eps, err_ap, err_second_order, err_limit) at t_final: a quiet ap run and
     each model's closed form at t_final, scored against one splitting reference
-    per eps.  The closed forms exist for linear mode with tension cos2sq only,
-    so any other mode or tension is rejected.  Writes table.csv under
-    config.output_dir.
+    per eps, cached in ``cache_dir`` when one is given.  The closed forms exist
+    for linear mode with tension cos2sq only, so any other mode or tension is
+    rejected.  Writes table.csv under config.output_dir.
     """
     rows = []
     for e in eps_list:
         cfg = _quiet(config, epsilon=float(e))
         _closed_form_only(cfg, "table_study")
-        # the table reference is always the fine splitting run, whatever eps
         ref = _splitting_reference(cfg, cache_dir)
         args = (cfg.t_final, cfg.epsilon, get_tension(cfg.tension), *cfg.phase().mesh(), cfg.f0_params())
         got = [run(cfg.replace(scheme="ap"), write=False).f_tilde]

@@ -199,6 +199,19 @@ def test_table_smoke(tmp_path, capsys):
     assert saved.shape == (4,) and saved[0] == 0.5
 
 
+def test_only_table_takes_a_reference_cache(tmp_path, capsys):
+    # converge recomputes its poisson references on every call; only table caches them
+    cfg = write_config(tmp_path / "run.cfg", output_dir=tmp_path / "out")
+    cache = tmp_path / "cache"
+    with pytest.raises(SystemExit) as exc:
+        main(["converge", cfg, "--dt", "0.1", "--eps", "0.25", "--reference-cache", str(cache)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --reference-cache" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+    assert main(["table", cfg, "--eps", "0.5", "--reference-cache", str(cache)]) == 0
+    assert len(list(cache.glob("*.npy"))) == 1
+
+
 def test_selftest_passes():
     assert main(["selftest", "--quiet"]) == 0
 
@@ -224,7 +237,7 @@ def test_selftest_exits_1_under_a_broken_operator(monkeypatch, capsys):
 
 
 def test_selftest_reports_a_check_that_raises(monkeypatch, capsys):
-    def broken(config, cache_dir=None):
+    def broken(config):
         raise RuntimeError("no reference")
 
     monkeypatch.setattr(harness, "reference_filtered", broken)

@@ -474,24 +474,24 @@ def test_reference_cache_is_memoized(tmp_path):
     cache = tmp_path / "cache"
     cfg = RunConfig(epsilon=0.25, t_final=0.1, n_points=32, rms_every=1 << 30,
                     mode="poisson", output_dir=str(tmp_path))
-    first = reference_filtered(cfg, cache_dir=str(cache))
+    first = harness._splitting_reference(cfg, cache_dir=str(cache))
     files = sorted(cache.glob("*.npy"))
     assert len(files) == 1
     # a poisoned cache entry coming back proves the second call reads it
     marker = np.full_like(first, 7.0)
     np.save(files[0], marker)
-    assert np.array_equal(reference_filtered(cfg, cache_dir=str(cache)), marker)
-    reference_filtered(cfg.replace(epsilon=0.5), cache_dir=str(cache))
+    assert np.array_equal(harness._splitting_reference(cfg, cache_dir=str(cache)), marker)
+    harness._splitting_reference(cfg.replace(epsilon=0.5), cache_dir=str(cache))
     assert len(sorted(cache.glob("*.npy"))) == 2
 
 
 def test_reference_cache_replaces_a_truncated_entry(tmp_path, monkeypatch):
     cache = tmp_path / "cache"
     cfg = RunConfig(epsilon=0.25, t_final=0.1, n_points=32, mode="poisson")
-    first = reference_filtered(cfg, cache_dir=str(cache))
+    first = harness._splitting_reference(cfg, cache_dir=str(cache))
     (entry,) = cache.iterdir()
     entry.write_bytes(entry.read_bytes()[: entry.stat().st_size // 2])
-    assert np.array_equal(reference_filtered(cfg, cache_dir=str(cache)), first)
+    assert np.array_equal(harness._splitting_reference(cfg, cache_dir=str(cache)), first)
     # replaced in place, no temp file left behind
     assert [p.name for p in cache.iterdir()] == [entry.name]
     assert np.array_equal(np.load(entry), first)
@@ -504,12 +504,12 @@ def test_reference_cache_replaces_a_truncated_entry(tmp_path, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(np, "save", fail)
         with pytest.raises(OSError, match="disk full"):
-            reference_filtered(cfg.replace(epsilon=0.5), cache_dir=str(cache))
+            harness._splitting_reference(cfg.replace(epsilon=0.5), cache_dir=str(cache))
         assert [p.name for p in cache.iterdir()] == [entry.name]
-        assert np.array_equal(reference_filtered(cfg, cache_dir=str(cache)), first)
+        assert np.array_equal(harness._splitting_reference(cfg, cache_dir=str(cache)), first)
     # a new format version never reads the old entries
     monkeypatch.setattr(harness, "REFERENCE_CACHE_VERSION", harness.REFERENCE_CACHE_VERSION + 1)
-    reference_filtered(cfg, cache_dir=str(cache))
+    harness._splitting_reference(cfg, cache_dir=str(cache))
     assert len(list(cache.iterdir())) == 2
 
 

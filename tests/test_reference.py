@@ -11,6 +11,7 @@ from vlasov_ap.domain import PhaseGrid, TorusGrid, initial_distribution, rotate_
 from vlasov_ap.fields import Tension, get_tension
 from vlasov_ap.reference import (
     SplittingSolver,
+    _shift_phase,
     constant_drift,
     filtered_from_rv,
     model_solution,
@@ -282,6 +283,29 @@ def test_splitting_advance_fuses_half_drifts(n_points):
     f0, no_steps, fused, single = _fused_and_single_steps(n_points)
     np.testing.assert_array_equal(no_steps, f0)
     np.testing.assert_allclose(fused, single, atol=1e-13)
+
+
+@pytest.mark.parametrize("n_points", [16, 64, 256])
+def test_shift_phase_matches_direct_exponentials(n_points):
+    # len(k) = 9, 33 and 129 take b = 3, 6 and 12 baby steps, so the last giant
+    # step is full at 9 and cut short at 33 and 129; 1.1e-16 to 2.3e-16 per
+    # unit of argument measured
+    k = SplittingSolver(PhaseGrid(n_points), 0.5, COS2SQ).k
+    shift = np.linspace(-1.0, 1.0, 301) * 100.0 / k[-1]
+    want = np.exp(-1j * np.outer(shift, k))
+    got = _shift_phase(shift, k)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 4e-16 * (1.0 + np.abs(np.outer(shift, k)).max())
+
+
+@pytest.mark.parametrize("mode", ["linear", "poisson"])
+def test_splitting_solver_keeps_no_phase_between_calls(mode):
+    # a solver stepped with dt, then dt/2, matches fresh solvers bit for bit
+    args = (PhaseGrid(64), 0.25, COS2SQ, mode)
+    used = SplittingSolver(*args)
+    f0 = used.initial_state()
+    for dt in (0.02, 0.01):
+        np.testing.assert_array_equal(used.solve(f0, 0, 3, dt), SplittingSolver(*args).solve(f0, 0, 3, dt))
 
 
 def test_splitting_rejects_unknown_mode():
