@@ -194,11 +194,14 @@ class SplittingSolver:
         """
         if k1 <= k0:
             return f
+        # a one-step span takes no full drift, so only the half drift is built
+        phases = [_shift_phase(self.phase.nodes * (s * dt / self.epsilon), self.k).T.copy()
+                  for s in (0.5, 1.0)[:k1 - k0]]
         # irfft keeps only the real part of the Nyquist bin, so a shifted Nyquist
         # mode would not compose; dropping it makes drifts add exactly
-        half, full = (_shift_phase(self.phase.nodes * (s * dt / self.epsilon), self.k).T.copy()
-                      for s in (0.5, 1.0))
-        half[-1] = full[-1] = 0.0
+        for p in phases:
+            p[-1] = 0.0
+        half, full = phases[0], phases[-1]
         for n in range(k0, k1):
             f = self._drift(f, half if n == k0 else full)
             f = self._kick(f, n * dt, dt)

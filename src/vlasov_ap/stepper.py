@@ -21,60 +21,66 @@ update and with it the uniform accuracy.
 
 The field is a scalar amplitude times a fixed direction, E = g(tau, xi)
 (-sin tau, cos tau), for the applied field and the self-field alike.  So the
-xi parts of both stages are matrices with four entries per row, built from
-g (see xi_operator):
+xi parts of both stages are four-neighbour stencils of g, applied straight to
+the state (see xi_operator):
 
     P = avg - (dt/2) Phi,   Q = -dt Phi,
     F* = R (P F),   F+ = R (Q F* + (I - lam L) F),   R = (I + lam L)^{-1},
 
 with I - lam L one nodal matrix product.  In linear mode g is the applied
-amplitude alone, so P and Q are built once for a given dt and kept.  In
-poisson mode g includes the self-field of the stage's state, so P is built
-from F and Q from F*, in turn, into one data buffer that the solver keeps.
+amplitude alone; in poisson mode it includes the self-field of the stage's
+state, so P is applied with the field of F and Q with that of F*.  No stage
+keeps anything between calls.
 
 A micro-macro variant of the same pattern handles the longer diffusion time
 scale, where the tension is mean-free and the solution is split as
-F = G + h with G = Pi F.  Its xi parts are xi_operator matrices too: Phi of
-the applied field, built once, and the four-point average of one (n, n)
-slice, applied to every slice.
+F = G + h with G = Pi F.  Its xi parts are the same stencils: Phi of the
+applied field, and the four-point average of every (n, n) slice.
 """
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import dia_matrix
 
 from . import averaging, fields
 from .domain import PhaseGrid, TorusGrid, initial_distribution
 
 
-def xi_operator(g: np.ndarray, tau: np.ndarray, delta_xi: float, c_avg: float, c_flux: float, out=None):
-    """c_avg * (four-point average) + c_flux * Phi for the field g (-sin tau, cos tau), as a DIA matrix.
+def xi_operator(g: np.ndarray, tau: np.ndarray, delta_xi: float, c_avg: float, c_flux: float, f: np.ndarray):
+    """c_avg * (four-point average) + c_flux * Phi applied to f, for the field g (-sin tau, cos tau).
 
-    g has the state's shape (n_tau, n, n) and tau its n_tau angles; the
-    operator acts on that state, flattened.  The offsets are (n, -n, 1, -1),
-    one per neighbour, and DIA data are indexed by column, so the diagonals
-    hold c_avg/4 -+ c sin(tau) g and c_avg/4 +- c cos(tau) g, c = c_flux /
-    (2 delta_xi), with g taken at the neighbour.  A neighbour outside the box
-    gets weight 0, which is the zero ghost.  The matrix holds 4 values per
-    state entry and no index arrays, written to out, a (4,) + g.shape array, if given.
+    f holds m slices of shape (n, n), g the amplitude on (at least) those m
+    slices and tau their m angles; g and tau go unread when c_flux is 0.  Each
+    slice goes through one zero-padded (n + 2, n + 2) buffer, whose pad is the
+    zero ghost outside the box, so only slice-sized scratch is allocated
+    besides the returned array of f's shape.
     """
-    n = g.shape[-1]
+    n = f.shape[-1]
     c = c_flux / (2.0 * delta_xi)
-    tau = np.reshape(tau, (-1, 1, 1))
     q = 0.25 * c_avg
-    data = np.empty((4,) + g.shape) if out is None else out
-    # each pair of diagonals is q +- c e for one component e of the field
-    for plus, minus, direction in zip(data[::2], data[1::2], (-np.sin(tau), np.cos(tau))):
-        np.multiply(g, c * direction, out=plus)
-        np.subtract(q, plus, out=minus)
+    out = np.empty(f.shape)
+    # Flattened, the neighbours of a slice's entries are contiguous runs of the
+    # padded buffer at fixed offsets; the stencils act on whole runs, pad
+    # entries between rows included, and only the interior of the sum is kept.
+    pad, acc = np.zeros((2, n + 2, n + 2))
+    inner = pad[1:-1, 1:-1]
+    start, size = n + 3, n * (n + 2) - 2  # flat index of entry (0, 0); length of the run to (n-1, n-1)
+    flat = pad.reshape(-1)
+    up, down, right, left = (flat[start + k:start + k + size] for k in (n + 2, -n - 2, 1, -1))
+    total, tmp = acc.reshape(-1)[start:start + size], np.empty(size)
+    for l, o in enumerate(out):
+        total.fill(0.0)
+        if c:
+            np.multiply(g[l], f[l], out=inner)
+            for ahead, behind, e in ((up, down, -np.sin(tau[l])), (right, left, np.cos(tau[l]))):
+                np.subtract(ahead, behind, out=tmp)
+                tmp *= c * e
+                total += tmp
         if q:
-            plus += q
-    # the neighbour of the row across each edge of its slice is a ghost
-    data[0, ..., 0, :] = 0.0
-    data[1, ..., -1, :] = 0.0
-    data[2, ..., :, 0] = 0.0
-    data[3, ..., :, -1] = 0.0
-    return dia_matrix((data.reshape(4, -1), (n, -n, 1, -1)), shape=(g.size, g.size))
+            np.multiply(f[l], q, out=inner)
+            for side in (up, down, right, left):
+                total += side
+        o[...] = acc[1:-1, 1:-1]
+    return out
 
 
 def cfl_dt(g: np.ndarray, tau: np.ndarray, delta_xi: float) -> float:
@@ -119,8 +125,6 @@ class APSolver:
         tau = torus.nodes.reshape(-1, 1, 1)
         self.applied_amplitude = fields.applied_amplitude(tension, tau, x1, x2)
         self.rotator = fields.FrameRotator(phase, torus) if mode == "poisson" else None
-        self._xi_operators = None  # (dt, P, Q) of the linear step, built at its first advance
-        self._stage_data = None  # the poisson stages' one DIA data buffer, made at the first stage
 
     def _field_amplitude(self, state: np.ndarray) -> np.ndarray:
         """g of the field g (-sin tau, cos tau): applied plus, in poisson mode, the state's self-field."""
@@ -161,9 +165,8 @@ class APSolver:
     def advance(self, state: np.ndarray, dt: float) -> np.ndarray:
         """One step: the predictor F* = R(P F), then the corrector F+ = R(Q F* + (I - lam L) F)."""
         lam = dt / (2.0 * self.epsilon)
-        f_half = self._xi_operator(0, state, dt) @ state.ravel()
-        f_half = averaging.solve_implicit_tau(f_half.reshape(state.shape), lam)
-        rhs = (self._xi_operator(1, f_half, dt) @ f_half.ravel()).reshape(state.shape)
+        f_half = averaging.solve_implicit_tau(self._stage(0, state, dt), lam)
+        rhs = self._stage(1, f_half, dt)
         del f_half  # freed before explicit_tau makes the next state-sized array
         rhs += averaging.explicit_tau(state, lam)
         out = averaging.solve_implicit_tau(rhs, lam)
@@ -171,25 +174,10 @@ class APSolver:
             raise RuntimeError("non-finite values in the state; reduce dt")
         return out
 
-    def _xi_operator(self, stage: int, f: np.ndarray, dt: float):
-        """The xi part of the predictor (stage 0, P) or the corrector (stage 1, Q) for step dt.
-
-        Linear mode keeps both while dt holds.  Poisson mode builds the one asked
-        for, from the field of f, into one data buffer shared by every stage.
-        """
-        if self.mode == "poisson":
-            if self._stage_data is None:
-                self._stage_data = np.empty((4,) + f.shape)
-            return self._stage_operator(stage, self._field_amplitude(f), dt, self._stage_data)
-        if self._xi_operators is None or self._xi_operators[0] != dt:
-            self._xi_operators = None  # free the old pair before the new one is allocated
-            g = self.applied_amplitude
-            self._xi_operators = (dt, self._stage_operator(0, g, dt), self._stage_operator(1, g, dt))
-        return self._xi_operators[1 + stage]
-
-    def _stage_operator(self, stage: int, g: np.ndarray, dt: float, out=None):
+    def _stage(self, stage: int, f: np.ndarray, dt: float) -> np.ndarray:
+        """The xi part of the predictor (stage 0, P f) or the corrector (stage 1, Q f), for the field of f."""
         c_avg, c_flux = ((1.0, -0.5 * dt), (0.0, -dt))[stage]
-        return xi_operator(g, self.torus.nodes, self.phase.delta_xi, c_avg, c_flux, out=out)
+        return xi_operator(self._field_amplitude(f), self.torus.nodes, self.phase.delta_xi, c_avg, c_flux, f)
 
     def suggest_dt(self, state: np.ndarray) -> float:
         return cfl_dt(self._field_amplitude(state), self.torus.nodes, self.phase.delta_xi)
@@ -214,7 +202,8 @@ class DiffusionSolver:
     macro part G = Pi F then moves only through the averaged product of
     fluctuations.  States are carried as the pair (G, h); the initial data
     are those of a linear-mode APSolver on the same grids, and the run loop
-    reads G + h out at tau = t/eps^2.
+    reads G + h out at tau = t/eps^2.  Its xi parts apply xi_operator to each
+    argument, with that solver's applied amplitude, so it keeps no operator.
     """
 
     def __init__(
@@ -238,10 +227,6 @@ class DiffusionSolver:
         self.phase = phase
         self.epsilon = epsilon
         self.transport = APSolver(phase, torus, tension, epsilon, f0_params=f0_params)
-        dxi, n = phase.delta_xi, phase.n_points
-        # Phi of the applied field on a state, and the four-point average of one (n, n) slice
-        self._flux = xi_operator(self.transport.applied_amplitude, torus.nodes, dxi, 0.0, 1.0)
-        self._average = xi_operator(np.zeros((1, n, n)), torus.nodes[:1], dxi, 1.0, 0.0)
 
     def initial_split(self, init: str = "corrected"):
         """(G0, h0) from the same well-prepared data as the transport solver."""
@@ -250,12 +235,13 @@ class DiffusionSolver:
 
     def _phi(self, f: np.ndarray) -> np.ndarray:
         """Phi(f) for the applied field; f has the state's shape."""
-        return (self._flux @ f.ravel()).reshape(f.shape)
+        t = self.transport
+        return xi_operator(t.applied_amplitude, t.torus.nodes, self.phase.delta_xi, 0.0, 1.0, f)
 
     def _avg(self, f: np.ndarray) -> np.ndarray:
-        """Four-point average of each (n, n) slice of f."""
-        slices = f.reshape(-1, self._average.shape[1])
-        return (self._average @ slices.T).T.reshape(f.shape)
+        """Four-point average of each (n, n) slice of f; f is one slice or a state."""
+        n = self.phase.n_points
+        return xi_operator(None, None, self.phase.delta_xi, 1.0, 0.0, f.reshape(-1, n, n)).reshape(f.shape)
 
     def step(self, g: np.ndarray, h: np.ndarray, dt: float):
         """One micro-macro step; G is advanced explicitly, h through the resolvent."""

@@ -230,8 +230,8 @@ def test_selftest_exits_1_under_a_broken_operator(monkeypatch, capsys):
     monkeypatch.undo()
     xi_operator = stepper.xi_operator
     monkeypatch.setattr(stepper, "xi_operator",
-                        lambda g, tau, dxi, c_avg, c_flux, out=None:
-                        xi_operator(g, tau, dxi, c_avg, 1.05 * c_flux, out=out))
+                        lambda g, tau, dxi, c_avg, c_flux, f:
+                        xi_operator(g, tau, dxi, c_avg, 1.05 * c_flux, f))
     assert main(["selftest"]) == 1
     assert "FAIL linear ap vs exact" in capsys.readouterr().out
 

@@ -6,7 +6,7 @@ import scipy.integrate
 from scipy.integrate import solve_ivp
 from test_fields import applied_pair
 
-from vlasov_ap import averaging
+from vlasov_ap import averaging, reference
 from vlasov_ap.domain import PhaseGrid, TorusGrid, initial_distribution, rotate_to_xi
 from vlasov_ap.fields import Tension, get_tension
 from vlasov_ap.reference import (
@@ -306,6 +306,21 @@ def test_splitting_solver_keeps_no_phase_between_calls(mode):
     f0 = used.initial_state()
     for dt in (0.02, 0.01):
         np.testing.assert_array_equal(used.solve(f0, 0, 3, dt), SplittingSolver(*args).solve(f0, 0, 3, dt))
+
+
+def test_one_step_splitting_builds_no_full_drift(monkeypatch):
+    # one step takes two half drifts and one kick, so two phases; the fused full
+    # drift is built only for longer spans
+    calls = []
+    shift_phase = reference._shift_phase
+    monkeypatch.setattr(reference, "_shift_phase", lambda shift, k: calls.append(k) or shift_phase(shift, k))
+    solver = SplittingSolver(PhaseGrid(32), 0.25, COS2SQ)
+    f0 = solver.initial_state()
+    solver.solve(f0, 0, 1, 0.02)
+    assert len(calls) == 2
+    calls.clear()
+    solver.solve(f0, 0, 3, 0.02)
+    assert len(calls) == 5  # the half and the full drift, and three kicks
 
 
 def test_splitting_rejects_unknown_mode():

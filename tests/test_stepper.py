@@ -41,7 +41,7 @@ def pad_average(f):
 
 def apply_xi(g, tau, delta_xi, c_avg, c_flux, f):
     """xi_operator(g, tau, ...) applied to a state f of g's shape."""
-    return (xi_operator(g, tau, delta_xi, c_avg, c_flux) @ f.ravel()).reshape(f.shape)
+    return xi_operator(g, tau, delta_xi, c_avg, c_flux, f)
 
 
 def test_flux_rotation_field_on_constant():
@@ -123,15 +123,15 @@ def test_xi_operator_matches_the_stencils(shape):
 
 def step_half(f, g, eps, dt, delta_xi):
     """The predictor F* = R(P F) of APSolver.advance, from its stencil pieces."""
-    p = xi_operator(g, TorusGrid(f.shape[0]).nodes, delta_xi, 1.0, -0.5 * dt)
-    return averaging.solve_implicit_tau((p @ f.ravel()).reshape(f.shape), dt / (2.0 * eps))
+    pf = xi_operator(g, TorusGrid(f.shape[0]).nodes, delta_xi, 1.0, -0.5 * dt, f)
+    return averaging.solve_implicit_tau(pf, dt / (2.0 * eps))
 
 
 def step_full(f, f_half, g_half, eps, dt, delta_xi):
     """The corrector F+ = R(Q F* + (I - lam L) F) of APSolver.advance, from its stencil pieces."""
     lam = dt / (2.0 * eps)
-    q = xi_operator(g_half, TorusGrid(f.shape[0]).nodes, delta_xi, 0.0, -dt)
-    rhs = (q @ f_half.ravel()).reshape(f.shape) + averaging.explicit_tau(f, lam)
+    qf = xi_operator(g_half, TorusGrid(f.shape[0]).nodes, delta_xi, 0.0, -dt, f_half)
+    rhs = qf + averaging.explicit_tau(f, lam)
     return averaging.solve_implicit_tau(rhs, lam)
 
 
@@ -264,8 +264,8 @@ def test_advance_matches_fft_reference(mode):
         assert_rel_close(f, ref)
 
 
-# linear mode keeps P and Q while dt holds; poisson mode writes every stage's
-# operator into one kept buffer, so a stale diagonal would show here too
+# every stage applies its stencils for the dt it is given; a stage that kept
+# anything from an earlier dt, an operator or a coefficient, would show here
 @pytest.mark.parametrize("mode", ["linear", "poisson"])
 def test_advance_rebuilds_its_operators_when_dt_changes(mode):
     grid = PhaseGrid(32)
@@ -277,6 +277,24 @@ def test_advance_rebuilds_its_operators_when_dt_changes(mode):
         f = solver.advance(f, step)
         ref = reference_advance(solver, ref, step)
         assert_rel_close(f, ref)
+
+
+@pytest.mark.parametrize("mode", ["linear", "poisson"])
+def test_advance_keeps_no_operator_between_calls(mode):
+    # each stage applies its stencils straight from the field amplitude, so two
+    # advances leave only the returned state traced; a kept P and Q would hold
+    # about 8 state sizes, a kept poisson stage buffer about 4
+    solver = APSolver(PhaseGrid(64), TorusGrid(32), get_tension("cos2sq"), 0.25, mode=mode)
+    f = solver.initial_state("corrected")
+    dt = 0.5 * solver.suggest_dt(f)
+    tracemalloc.start()
+    try:
+        for step in (dt, 0.5 * dt):
+            f = solver.advance(f, step)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held - f.nbytes < 0.1 * f.nbytes
 
 
 def test_diffusion_step_matches_fft_reference():
