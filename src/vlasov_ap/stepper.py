@@ -67,18 +67,27 @@ def xi_operator(g: np.ndarray, tau: np.ndarray, delta_xi: float, c_avg: float, c
     flat = pad.reshape(-1)
     up, down, right, left = (flat[start + k:start + k + size] for k in (n + 2, -n - 2, 1, -1))
     total, tmp = acc.reshape(-1)[start:start + size], np.empty(size)
+    if c:
+        ey, ex = (c * -np.sin(tau)).tolist(), (c * np.cos(tau)).tolist()
+    # the first term of each slice's sum is written over the last slice's, so
+    # total is never cleared; when c and q are both 0 it keeps its zeros
     for l, o in enumerate(out):
-        total.fill(0.0)
         if c:
             np.multiply(g[l], f[l], out=inner)
-            for ahead, behind, e in ((up, down, -np.sin(tau[l])), (right, left, np.cos(tau[l]))):
-                np.subtract(ahead, behind, out=tmp)
-                tmp *= c * e
-                total += tmp
+            np.subtract(up, down, out=total)
+            total *= ey[l]
+            np.subtract(right, left, out=tmp)
+            tmp *= ex[l]
+            total += tmp
         if q:
             np.multiply(f[l], q, out=inner)
-            for side in (up, down, right, left):
-                total += side
+            if c:
+                total += up
+            else:
+                np.copyto(total, up)
+            total += down
+            total += right
+            total += left
         o[...] = acc[1:-1, 1:-1]
     return out
 
