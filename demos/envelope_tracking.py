@@ -14,43 +14,34 @@ remainder.  Shrink eps
 and the model gaps track eps while the scheme gap stays put, which is the
 whole point of the method.
 
-Writes envelope.csv (t, scheme, reference, coarse model, second order)
-next to this script's working directory under runs/envelope.
+The run is the sample config configs/linear_envelope.cfg with its output
+moved: writes envelope.csv (t, scheme, reference, coarse model, second
+order) under runs/envelope in the working directory.
 """
-import pathlib
+from pathlib import Path
 
 import numpy as np
 
-from vlasov_ap.domain import PhaseGrid
 from vlasov_ap.fields import get_tension
 from vlasov_ap.harness import RunConfig, rms, run
 from vlasov_ap.reference import model_solution
 
-EPS = 0.05
-T_FINAL = 2 * np.pi
-N = 128
+CONFIG = Path(__file__).resolve().parent / "configs" / "linear_envelope.cfg"
 
 
 def main():
-    cfg = RunConfig(
-        epsilon=EPS,
-        t_final=T_FINAL,
-        n_points=N,
-        delta_t=0.02,
-        rms_every=1,
-        output_dir="runs/envelope",
-    )
+    cfg = RunConfig.from_file(CONFIG, ["output_dir=runs/envelope"])
     result = run(cfg, write=False)
     times = result.times
     widths = result.rms_series
     print(f"scheme: {result.n_steps} steps of dt = {result.dt:.4f}")
 
-    grid = PhaseGrid(N)
+    grid = cfg.phase()
     x1, x2 = grid.mesh()
     tension = get_tension(cfg.tension)
 
     def model_widths(model):
-        fields = model_solution(model, times, EPS, tension, x1, x2)
+        fields = model_solution(model, times, cfg.epsilon, tension, x1, x2)
         return np.asarray([rms(f, grid) for f in fields])
 
     ref = model_widths("exact")
@@ -61,7 +52,7 @@ def main():
         gap = np.trapezoid(np.abs(series - ref), times)
         print(f"L1 width gap, {name:>12}: {gap:.4e}")
 
-    out = pathlib.Path(cfg.output_dir)
+    out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     table = np.column_stack([times, widths, ref, coarse, second])
     np.savetxt(

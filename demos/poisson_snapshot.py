@@ -3,24 +3,22 @@
 Runs the full nonlinear problem (applied focusing field plus the beam's own
 radial field) at eps = 0.25 for a quarter period and writes the filtered
 distribution at three times, the width history, and the resolved settings.
-The same run is available from the command line as
+It runs the sample config configs/poisson_quarter.cfg, so the same run is
+available from the command line as
 
     vlasov-ap run demos/configs/poisson_quarter.cfg
 """
+from pathlib import Path
+
 import numpy as np
 
 from vlasov_ap.harness import RunConfig, run
 
+CONFIG = Path(__file__).resolve().parent / "configs" / "poisson_quarter.cfg"
+
+
 def main():
-    cfg = RunConfig(
-        epsilon=0.25,
-        t_final=np.pi / 4,
-        n_points=64,
-        mode="poisson",
-        snapshot_times=(0.0, np.pi / 8, np.pi / 4),
-        rms_every=2,
-        output_dir="runs/poisson_demo",
-    )
+    cfg = RunConfig.from_file(CONFIG)
     result = run(cfg)
     masses = np.array([rec.mass for rec in result.records])
     drift = np.abs(masses - masses[0]).max() / abs(masses[0])

@@ -16,8 +16,8 @@ import sys
 from . import harness
 
 
-def _floats(text: str) -> list[float]:
-    values = [float(p) for p in text.replace(",", " ").split()]
+def _floats(text: str) -> tuple[float, ...]:
+    values = harness._parse_value("list", text, tuple[float, ...])
     if not values:
         raise argparse.ArgumentTypeError("expected at least one number")
     return values
@@ -35,12 +35,8 @@ def _add_config_arguments(p: argparse.ArgumentParser):
     )
 
 
-def _load_config(args) -> harness.RunConfig:
-    return harness.RunConfig.from_file(args.config, args.set)
-
-
 def _cmd_run(args) -> int:
-    config = _load_config(args)
+    config = harness.RunConfig.from_file(args.config, args.set)
     result = harness.run(config)
     last = result.records[-1]
     print(
@@ -52,7 +48,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_converge(args) -> int:
-    config = _load_config(args)
+    config = harness.RunConfig.from_file(args.config, args.set)
     rows, slopes = harness.convergence_study(config, args.dt, args.eps)
     print("epsilon        dt             error")
     for eps, dt, err in rows:
@@ -63,7 +59,7 @@ def _cmd_converge(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    config = _load_config(args)
+    config = harness.RunConfig.from_file(args.config, args.set)
     rows = harness.table_study(config, args.eps, cache_dir=args.reference_cache)
     print("epsilon        ap             second_order   limit")
     for eps, e_ap, e_second, e_limit in rows:
@@ -113,12 +109,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 1 if isinstance(exc, RuntimeError) else 2
 
 
 if __name__ == "__main__":

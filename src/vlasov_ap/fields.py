@@ -12,11 +12,11 @@ density computed in the lab frame, rotated back:
     E_f(r) = (1/r) * integral_0^r s rho(s) ds,  r(tau, xi) = xi1 cos tau + xi2 sin tau.
 
 Both are a scalar amplitude times (-sin tau, cos tau); applied_amplitude and
-self_field return the amplitudes, and the stepper builds its operators from
-their sum.  Density and radial integrals live on the same box as the xi
-grid, reusing it as an (r, v) mesh.  Around the radial solve the self-field
-is two linear maps, fixed for a run and held by FrameRotator as sparse
-matrices: state -> rho(tau_l, r), and radial profile -> its value at
+self_field return the amplitudes, and the stepper applies its xi stencils
+straight from their sum.  Density and radial integrals live on the same box
+as the xi grid, reusing it as an (r, v) mesh.  Around the radial solve the
+self-field is two linear maps, fixed for a run and held by FrameRotator as
+sparse matrices: state -> rho(tau_l, r), and radial profile -> its value at
 r(tau_l, xi).  All interpolation here extends the grid by zero ghost nodes,
 so a lookup ramps to zero within one cell past the outermost nodes; the
 distribution is assumed compactly supported inside the box.

@@ -221,19 +221,15 @@ def boundary_mass_fraction(f2d: np.ndarray) -> float:
 
 def rel_error(num: np.ndarray, ref: np.ndarray, norm: str = "l2") -> float:
     """Relative L2 or Linf distance on a shared grid (grid weights cancel)."""
+    size = {"l2": lambda a: np.sqrt((a ** 2).sum()), "linf": lambda a: np.abs(a).max()}.get(norm)
+    if size is None:
+        raise ValueError(f"unknown norm {norm!r}")
     num = np.asarray(num, dtype=float)
     ref = np.asarray(ref, dtype=float)
-    if norm == "l2":
-        denom = np.sqrt((ref ** 2).sum())
-        if denom == 0.0:
-            raise RuntimeError("reference field is identically zero")
-        return float(np.sqrt(((num - ref) ** 2).sum()) / denom)
-    if norm == "linf":
-        denom = np.abs(ref).max()
-        if denom == 0.0:
-            raise RuntimeError("reference field is identically zero")
-        return float(np.abs(num - ref).max() / denom)
-    raise ValueError(f"unknown norm {norm!r}")
+    denom = size(ref)
+    if denom == 0.0:
+        raise RuntimeError("reference field is identically zero")
+    return float(size(num - ref) / denom)
 
 
 @dataclass(frozen=True)

@@ -81,7 +81,7 @@ def test_readme_commands_parse(monkeypatch):
 
     def load_only(args):
         if "config" in vars(args):
-            cli._load_config(args)
+            harness.RunConfig.from_file(args.config, args.set)
         return 0
 
     for name in ("_cmd_run", "_cmd_converge", "_cmd_table", "_cmd_selftest"):
@@ -187,6 +187,9 @@ def test_converge_prints_slopes(tmp_path, capsys):
     assert "slope at epsilon = 0.25" in out
     assert (tmp_path / "out" / "convergence.csv").exists()
     assert (tmp_path / "out" / "slopes.csv").exists()
+    # the lists share RunConfig's rule: commas or spaces
+    assert main(["converge", cfg, "--dt", "0.08 0.04", "--eps", "0.25"]) == 0
+    assert capsys.readouterr().out == out
 
 
 def test_table_smoke(tmp_path, capsys):

@@ -373,6 +373,22 @@ def test_ap_and_splitting_agree_at_eps_one(tmp_path):
     assert rel_error(result.f_tilde, ref, "l2") <= 2e-2
 
 
+@pytest.mark.parametrize("mode", ["linear", "poisson"])
+def test_ap_runs_have_a_limit_as_eps_vanishes(mode):
+    # the AP limit needs no reference: at a fixed grid and dt, runs a decade of
+    # eps apart move together at rate eps.  Measured distances: linear 6.49e-5,
+    # 6.19e-6, 6.17e-7 (ratios 10.48, 10.03); poisson 5.37e-4, 5.24e-5,
+    # 5.22e-6 (10.25, 10.04).  The band allows 10 % either side of 10.
+    finals = [
+        run(RunConfig(epsilon=eps, t_final=np.pi / 8, n_points=32, n_tau=32, xi_max=3.5,
+                      delta_t=0.049, mode=mode), write=False).f_tilde
+        for eps in (1e-3, 1e-4, 1e-5, 1e-6)
+    ]
+    dists = [rel_error(f, f_next, "l2") for f, f_next in zip(finals, finals[1:])]
+    ratios = [d / d_next for d, d_next in zip(dists, dists[1:])]
+    assert all(9.0 < r < 11.0 for r in ratios), dists
+
+
 # ---------------------------------------------------------------------------
 # filtered rms series
 
