@@ -44,20 +44,40 @@ import numpy as np
 from . import averaging, fields
 from .domain import PhaseGrid, TorusGrid, initial_distribution
 
+# entries per block of xi pencils in which APSolver.initial_state builds the
+# corrected state: 512 kB per temporary, 1024 pencils at n_tau = 64.  A block
+# holds about six such temporaries at its peak, so larger blocks cost memory
+# for no speed, and much smaller ones pay numpy's per-call overhead: at
+# 128^2 x 64 on one core, blocks of 2^16 and 2^17 entries took 87 ms and
+# blocks of 2^13 entries 119 ms, as long as the build on whole states
+INIT_BLOCK_ENTRIES = 1 << 16
 
-def xi_operator(g: np.ndarray, tau: np.ndarray, delta_xi: float, c_avg: float, c_flux: float, f: np.ndarray):
+
+def xi_operator(
+    g: np.ndarray,
+    tau: np.ndarray,
+    delta_xi: float,
+    c_avg: float,
+    c_flux: float,
+    f: np.ndarray,
+    out: np.ndarray | None = None,
+):
     """c_avg * (four-point average) + c_flux * Phi applied to f, for the field g (-sin tau, cos tau).
 
     f holds m slices of shape (n, n), g the amplitude on (at least) those m
     slices and tau their m angles; g and tau go unread when c_flux is 0.  Each
     slice goes through one zero-padded (n + 2, n + 2) buffer, whose pad is the
-    zero ghost outside the box, so only slice-sized scratch is allocated
-    besides the returned array of f's shape.
+    zero ghost outside the box, so only slice-sized scratch is allocated.  The
+    result is written into out, an array of f's shape, or into a new one when
+    out is None, and returned.  out may be g itself: slice l of the result is
+    written only after slice l of g and f has been read, and no other slice
+    of either is read for it.
     """
     n = f.shape[-1]
     c = c_flux / (2.0 * delta_xi)
     q = 0.25 * c_avg
-    out = np.empty(f.shape)
+    if out is None:
+        out = np.empty(f.shape)
     # Flattened, the neighbours of a slice's entries are contiguous runs of the
     # padded buffer at fixed offsets; the stencils act on whole runs, pad
     # entries between rows included, and only the interior of the sum is kept.
@@ -95,9 +115,16 @@ def xi_operator(g: np.ndarray, tau: np.ndarray, delta_xi: float, c_avg: float, c
 def cfl_dt(g: np.ndarray, tau: np.ndarray, delta_xi: float) -> float:
     """Advective step dt = delta_xi / max |E| for E = g (-sin tau, cos tau), frozen at start-up.
 
-    |E| peaks at max(|sin tau|, |cos tau|) |g|, which rounds as the larger component does."""
-    tau = np.reshape(tau, (-1,) + (1,) * (np.ndim(g) - 1))
-    emax = (np.maximum(np.abs(np.sin(tau)), np.abs(np.cos(tau))) * np.abs(g)).max()
+    g holds one slice per angle of tau.  |E| peaks at w |g| with
+    w = max(|sin tau|, |cos tau|), which rounds as the larger component does.
+    The maximum is taken slice by slice, as w_l * max(max g_l, -min g_l):
+    rounding is monotone for w_l >= 0, so this equals max(w |g|) to the bit,
+    and no array of g's size is made.
+    """
+    g = np.asarray(g)
+    axes = tuple(range(1, g.ndim))
+    w = np.maximum(np.abs(np.sin(tau)), np.abs(np.cos(tau)))
+    emax = (w * np.maximum(g.max(axis=axes), -g.min(axis=axes))).max()
     if emax == 0.0:
         raise RuntimeError("advecting field vanishes; provide delta_t explicitly")
     return delta_xi / emax
@@ -149,27 +176,34 @@ class APSolver:
         The corrected variant evaluates f0 at xi - eps * S(tau, xi) with
         S the tau-antiderivative (from zero) of the mean-free part of the
         initial field.  Being a composition with f0 it stays nonnegative.
-        The shift is built from the amplitude g one field component at a
-        time, so no field pair is ever held.
+        The tau operators act on each xi pencil alone, so the shift and f0
+        are evaluated on blocks of about INIT_BLOCK_ENTRIES entries, one
+        field component at a time, and written straight into the returned
+        array.  The field is that of the plain state, which is passed on as a
+        read-only broadcast view; so beyond the result only the field
+        amplitude (in poisson mode) and a few blocks are ever held.
         """
         x1, x2 = self.phase.mesh()
         nt = self.torus.n_tau
-        plain = np.broadcast_to(
-            initial_distribution(x1, x2, **self.f0_params), (nt,) + x1.shape
-        ).copy()
+        plain = np.broadcast_to(initial_distribution(x1, x2, **self.f0_params), (nt,) + x1.shape)
         if init == "plain":
-            return plain
+            return plain.copy()
         if init != "corrected":
             raise ValueError(f"unknown init {init!r}")
-        g = self._field_amplitude(plain)
-        del plain
-        tau = self.torus.nodes.reshape(-1, 1, 1)
-        shifted = [
-            x - self.epsilon * averaging.antiderivative_from_zero(averaging.fluctuation(direction * g))
-            for x, direction in zip((x1, x2), (-np.sin(tau), np.cos(tau)))
-        ]
-        del g
-        return initial_distribution(*shifted, **self.f0_params)
+        g = self._field_amplitude(plain).reshape(nt, -1)
+        tau = self.torus.nodes.reshape(-1, 1)
+        directions = (-np.sin(tau), np.cos(tau))
+        xs = (x1.reshape(-1), x2.reshape(-1))
+        out = np.empty(g.shape)
+        width = max(1, INIT_BLOCK_ENTRIES // nt)
+        for start in range(0, out.shape[1], width):
+            cols = slice(start, start + width)
+            shifted = [
+                x[cols] - self.epsilon * averaging.antiderivative_from_zero(averaging.fluctuation(d * g[:, cols]))
+                for x, d in zip(xs, directions)
+            ]
+            out[:, cols] = initial_distribution(*shifted, **self.f0_params)
+        return out.reshape((nt,) + x1.shape)
 
     def advance(self, state: np.ndarray, dt: float) -> np.ndarray:
         """One step: the predictor F* = R(P F), then the corrector F+ = R(Q F* + (I - lam L) F)."""
@@ -186,7 +220,11 @@ class APSolver:
     def _stage(self, stage: int, f: np.ndarray, dt: float) -> np.ndarray:
         """The xi part of the predictor (stage 0, P f) or the corrector (stage 1, Q f), for the field of f."""
         c_avg, c_flux = ((1.0, -0.5 * dt), (0.0, -dt))[stage]
-        return xi_operator(self._field_amplitude(f), self.torus.nodes, self.phase.delta_xi, c_avg, c_flux, f)
+        g = self._field_amplitude(f)
+        # a poisson stage's amplitude is its own fresh array, so the result is
+        # written over it; the linear one is the shared applied amplitude
+        out = g if self.mode == "poisson" else None
+        return xi_operator(g, self.torus.nodes, self.phase.delta_xi, c_avg, c_flux, f, out)
 
     def suggest_dt(self, state: np.ndarray) -> float:
         return cfl_dt(self._field_amplitude(state), self.torus.nodes, self.phase.delta_xi)
@@ -238,9 +276,14 @@ class DiffusionSolver:
         self.transport = APSolver(phase, torus, tension, epsilon, f0_params=f0_params)
 
     def initial_split(self, init: str = "corrected"):
-        """(G0, h0) from the same well-prepared data as the transport solver."""
+        """(G0, h0) from the same well-prepared data as the transport solver.
+
+        h0 is that state with its tau-mean G0 subtracted in place.
+        """
         f = self.transport.initial_state(init)
-        return averaging.project_mean(f), averaging.fluctuation(f)
+        mean = f.mean(axis=0)
+        f -= mean
+        return mean, f
 
     def _phi(self, f: np.ndarray) -> np.ndarray:
         """Phi(f) for the applied field; f has the state's shape."""

@@ -18,7 +18,7 @@ from vlasov_ap import averaging
 from vlasov_ap.domain import PhaseGrid, TorusGrid, initial_distribution
 from vlasov_ap.fields import Tension, applied_amplitude, get_tension, self_field
 from vlasov_ap.harness import _two_scale_readout
-from vlasov_ap.stepper import APSolver, DiffusionSolver, cfl_dt, xi_operator
+from vlasov_ap.stepper import INIT_BLOCK_ENTRIES, APSolver, DiffusionSolver, cfl_dt, xi_operator
 
 # a = 1: the applied amplitude xi1 cos tau + xi2 sin tau, whose field is divergence-free
 UNIT_TENSION = Tension("one", np.ones_like, lambda t: t)
@@ -251,6 +251,15 @@ def assert_rel_close(got, want, rtol=1e-12):
     assert np.abs(got - want).max() <= rtol * np.abs(want).max()
 
 
+def traced_peak(call):
+    """(call(), peak bytes traced while it ran); what existed before is not traced."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("mode", ["linear", "poisson"])
 def test_advance_matches_fft_reference(mode):
     grid = PhaseGrid(32)
@@ -295,6 +304,28 @@ def test_advance_keeps_no_operator_between_calls(mode):
     finally:
         tracemalloc.stop()
     assert held - f.nbytes < 0.1 * f.nbytes
+
+
+def test_poisson_advance_peak_memory():
+    # each poisson stage writes its result over its own field amplitude, so the
+    # corrector holds f_half and that one array: measured 2.13 state sizes
+    # beyond the input at 128^2 x 32 (3.11 when the result had its own array);
+    # the bound leaves a quarter of a state
+    solver = APSolver(PhaseGrid(128), TorusGrid(32), get_tension("cos2sq"), 0.25, mode="poisson")
+    f = solver.initial_state("corrected")
+    dt = 0.5 * solver.suggest_dt(f)
+    solver.advance(f, dt)  # the first call may still fill caches
+    _, peak = traced_peak(lambda: solver.advance(f, dt))
+    assert peak <= 2.4 * f.nbytes
+
+
+def test_linear_advance_leaves_the_applied_amplitude_alone():
+    # a linear stage's amplitude is the solver's shared applied amplitude
+    solver = APSolver(PhaseGrid(32), TorusGrid(16), get_tension("cos2sq"), 0.25)
+    kept = solver.applied_amplitude.copy()
+    f = solver.initial_state("corrected")
+    solver.advance(solver.advance(f, 0.05), 0.05)
+    assert np.array_equal(solver.applied_amplitude, kept)
 
 
 def test_diffusion_step_matches_fft_reference():
@@ -426,12 +457,71 @@ def test_initial_state_corrected_peak_memory(mode):
     assert peak <= 8 * f.nbytes
 
 
+def whole_array_initial_state(solver):
+    """The corrected initial state built on whole states, the field's components one at a time."""
+    x1, x2 = solver.phase.mesh()
+    nt = solver.torus.n_tau
+    plain = np.broadcast_to(initial_distribution(x1, x2, **solver.f0_params), (nt,) + x1.shape).copy()
+    g = solver._field_amplitude(plain)
+    tau = solver.torus.nodes.reshape(-1, 1, 1)
+    shifted = [
+        x - solver.epsilon * averaging.antiderivative_from_zero(averaging.fluctuation(direction * g))
+        for x, direction in zip((x1, x2), (-np.sin(tau), np.cos(tau)))
+    ]
+    return initial_distribution(*shifted, **solver.f0_params)
+
+
+# less than one block, several blocks, and several with a partial last block
+@pytest.mark.parametrize("n, n_tau", [(32, 16), (128, 32), (96, 32)])
+@pytest.mark.parametrize("mode", ["linear", "poisson"])
+def test_initial_state_corrected_blocks_match_the_whole_array(mode, n, n_tau):
+    assert (n * n * n_tau > INIT_BLOCK_ENTRIES) == (n > 32)
+    beam = {"alpha": 0.21, "edge": 1.1}
+    solver = APSolver(PhaseGrid(n), TorusGrid(n_tau), get_tension("cos2sq"), 0.25, mode=mode, f0_params=beam)
+    assert np.array_equal(solver.initial_state("corrected"), whole_array_initial_state(solver))
+
+
+@pytest.mark.parametrize("mode, bound", [("linear", 2.1), ("poisson", 3.1)])
+def test_initial_state_corrected_holds_its_result_and_a_few_blocks(mode, bound):
+    # beyond the result (and, in poisson mode, the field amplitude) only a few
+    # blocks of pencils are held: measured 1.83 and 2.83 state sizes at
+    # 128^2 x 32, where one block is an eighth of a state (6.06 built on whole
+    # states); the bounds leave a quarter of a state
+    solver = APSolver(PhaseGrid(128), TorusGrid(32), get_tension("cos2sq"), 0.25, mode=mode)
+    solver.initial_state("corrected")  # the first call may still fill caches
+    f, peak = traced_peak(lambda: solver.initial_state("corrected"))
+    assert peak <= bound * f.nbytes
+
+
 def test_cfl_dt():
     # |E| peaks where one component takes all of |g|, at tau = 0 here
     g = np.full((2, 4, 4), 2.0)
     assert cfl_dt(g, np.array([0.0, np.pi / 4]), 0.5) == 0.25
     with pytest.raises(RuntimeError, match="advecting field vanishes; provide delta_t explicitly"):
         cfl_dt(np.zeros(3), np.zeros(3), 0.5)
+
+
+def test_cfl_dt_matches_the_whole_array_maximum():
+    rng = np.random.default_rng(7)
+    for n_tau, scale in [(16, 1.0), (32, 1e-3), (8, 1e5)]:
+        tau = np.concatenate([TorusGrid(n_tau).nodes[:-2], rng.uniform(0, 2 * np.pi, 2)])
+        g = scale * rng.standard_normal((n_tau, 12, 12))
+        weight = np.maximum(np.abs(np.sin(tau)), np.abs(np.cos(tau)))[:, None, None]
+        assert cfl_dt(g, tau, 0.1) == 0.1 / (weight * np.abs(g)).max()
+    with pytest.raises(RuntimeError, match="advecting field vanishes"):
+        cfl_dt(np.zeros((2, 4, 4)), np.array([0.0, 1.0]), 0.5)
+
+
+@pytest.mark.parametrize("mode, bound", [("linear", 0.1), ("poisson", 1.25)])
+def test_suggest_dt_peak_memory(mode, bound):
+    # the maximum is taken slice by slice, so only a poisson field amplitude
+    # is state-sized: measured 0.00 and 1.02 state sizes beyond the input at
+    # 128^2 x 32 (2.0 and 3.0 with the whole-array maximum)
+    solver = APSolver(PhaseGrid(128), TorusGrid(32), get_tension("cos2sq"), 0.25, mode=mode)
+    f = solver.initial_state("corrected")
+    solver.suggest_dt(f)  # the first call may still fill caches
+    _, peak = traced_peak(lambda: solver.suggest_dt(f))
+    assert peak <= bound * f.nbytes
 
 
 def test_readout_at_time_zero():
@@ -483,6 +573,14 @@ def test_diffusion_solver_rejects_a_mean_free_tension_with_a_mean_field():
         tension = Tension("harmonic2", func, primitive)
         with pytest.raises(ValueError, match="'harmonic2' .*n_tau = 16 .*tension is not mean-free"):
             DiffusionSolver(PhaseGrid(16), TorusGrid(16), tension, 0.1)
+
+
+def test_diffusion_initial_split_is_the_mean_and_fluctuation():
+    solver = DiffusionSolver(PhaseGrid(32), TorusGrid(32), get_tension("cos4"), 0.1)
+    f = solver.transport.initial_state("corrected")
+    g, h = solver.initial_split("corrected")
+    assert np.array_equal(g, averaging.project_mean(f))
+    assert np.array_equal(h, averaging.fluctuation(f))
 
 
 def test_diffusion_step_invariants():
