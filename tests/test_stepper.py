@@ -444,8 +444,9 @@ def test_initial_state_corrected():
 
 @pytest.mark.parametrize("mode", ["linear", "poisson"])
 def test_initial_state_corrected_peak_memory(mode):
-    # the shift is built one field component at a time: about 6 state sizes
-    # at the peak, against 11 with the field pair and its primitives all held
+    # the shift and f0 are built in blocks of xi pencils: 4.13 (linear) and
+    # 5.13 (poisson) state sizes at the peak on this grid, where one block is
+    # half the state; the whole-array build held about 6
     solver = APSolver(PhaseGrid(64), TorusGrid(32), get_tension("cos2sq"), 0.25, mode=mode)
     solver.initial_state("corrected")  # the first call may still fill caches
     tracemalloc.start()
