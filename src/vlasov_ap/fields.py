@@ -13,13 +13,15 @@ density computed in the lab frame, rotated back:
 
 Both are a scalar amplitude times (-sin tau, cos tau); applied_amplitude and
 self_field return the amplitudes, and the stepper applies its xi stencils
-straight from their sum.  Density and radial integrals live on the same box
-as the xi grid, reusing it as an (r, v) mesh.  Around the radial solve the
-self-field is two linear maps, fixed for a run and held by FrameRotator as
-sparse matrices: state -> rho(tau_l, r), and radial profile -> its value at
-r(tau_l, xi).  All interpolation here extends the grid by zero ghost nodes,
-so a lookup ramps to zero within one cell past the outermost nodes; the
-distribution is assumed compactly supported inside the box.
+straight from their sum.  The radial integral lives on the same box as the xi
+grid, reusing its nodes as the r grid.  The self-field uses one linear map,
+fixed for a run and held by FrameRotator as a sparse matrix: the spread of a
+radial profile to its values at r(tau_l, xi).  Its transpose deposits each xi
+node's mass onto the r grid with the same weights, which gives the density
+rho(tau_l, r), as in particle-in-cell charge assignment.  Interpolation here
+extends the grid by zero ghost nodes, so a lookup ramps to zero within one
+cell past the outermost nodes; the distribution is assumed compactly
+supported inside the box.
 """
 from __future__ import annotations
 
@@ -31,7 +33,7 @@ import numpy as np
 from scipy.ndimage import map_coordinates
 from scipy.sparse import csr_matrix
 
-from .domain import PhaseGrid, TorusGrid, rotate_to_rv, rotate_to_xi
+from .domain import PhaseGrid, TorusGrid, rotate_to_rv
 
 
 @dataclass(frozen=True)
@@ -136,48 +138,38 @@ def sample_plane(values: np.ndarray, grid: PhaseGrid, x, y, order: int = 1):
 
 
 class FrameRotator:
-    """The self-field's two linear maps between the xi mesh and the (r, v) mesh.
+    """The self-field's linear map between radial profiles and the xi mesh.
 
-    The rotation angles and both grids never change during a run, so both maps
-    are built once as CSR matrices with int32 indices, one tau slice at a time,
-    each bracketing corner written straight into the preallocated entry arrays:
+    The rotation angles and both grids never change during a run, so the map
+    is built once as a CSR matrix with int32 indices, one tau slice at a time,
+    each bracketing node written straight into the preallocated entry arrays:
 
-    to_density, (n_tau*n) x (n_tau*n*n): samples each tau slice of a state
-        bilinearly at the rotated nodes xi = e^{-J tau_l} (r, v) and sums over
-        v with weight delta_xi, giving rho(tau_l, r) for a flattened state;
     spread, (n_tau*n*n) x (n_tau*n): samples each slice's radial profile
         linearly at r(tau_l, xi) = xi1 cos tau_l + xi2 sin tau_l.
 
-    Every row holds a fixed number of entries (4n and 2); a bracketing node
-    off the grid is a zero ghost, stored as an explicit zero weight.
+    Its transpose deposits a state's mass onto the r grid with the same
+    weights.  Every row holds two entries; a bracketing node off the grid is a
+    zero ghost, stored as an explicit zero weight.
     """
 
     def __init__(self, phase: PhaseGrid, torus: TorusGrid):
         self.phase = phase
         self.torus = torus
         n, nt = phase.n_points, torus.n_tau
-        if 4 * nt * n * n >= 2 ** 31:
+        if 2 * nt * n * n >= 2 ** 31:
             raise ValueError("grid too large for int32 operator indices")
 
-        # density rows (l, r) run over (v, corner in xi1, corner in xi2)
-        dens_idx = np.empty((nt, n, n, 2, 2), dtype=np.int32)
-        dens_w = np.empty((nt, n, n, 2, 2))
         spread_idx = np.empty((nt, n, n, 2), dtype=np.int32)
         spread_w = np.empty((nt, n, n, 2))
-        a, b = phase.mesh()  # (r, v) for the density, (xi1, xi2) for the spread
+        xi1, xi2 = phase.mesh()
         for l, tau in enumerate(torus.nodes):
-            x1, x2 = rotate_to_xi(tau, a, b)
-            corners2 = _linear_weights(phase, x2)
-            for c1, (i1, w1) in enumerate(_linear_weights(phase, x1)):
-                col, w1 = l * n * n + n * i1, phase.delta_xi * w1
-                for c2, (i2, w2) in enumerate(corners2):
-                    np.add(col, i2, out=dens_idx[l, ..., c1, c2])
-                    np.multiply(w1, w2, out=dens_w[l, ..., c1, c2])
-            for c, (k, w) in enumerate(_linear_weights(phase, rotate_to_rv(tau, a, b)[0])):
+            for c, (k, w) in enumerate(_linear_weights(phase, rotate_to_rv(tau, xi1, xi2)[0])):
                 np.add(l * n, k, out=spread_idx[l, ..., c])
                 spread_w[l, ..., c] = w
-        self.to_density = _fixed_row_csr(dens_idx.reshape(nt * n, -1), dens_w, nt * n * n)
-        self.spread = _fixed_row_csr(spread_idx.reshape(nt * n * n, -1), spread_w, nt * n)
+        indptr = np.arange(0, spread_idx.size + 1, 2, dtype=np.int32)
+        self.spread = csr_matrix(
+            (spread_w.reshape(-1), spread_idx.reshape(-1), indptr), shape=(nt * n * n, nt * n)
+        )
 
 
 def _linear_weights(grid: PhaseGrid, x: np.ndarray):
@@ -195,21 +187,16 @@ def _linear_weights(grid: PhaseGrid, x: np.ndarray):
     return pairs
 
 
-def _fixed_row_csr(idx: np.ndarray, w: np.ndarray, n_cols: int) -> csr_matrix:
-    """CSR matrix whose row i holds the weights w[i] at columns idx[i], sharing their memory."""
-    rows, per_row = idx.shape
-    indptr = np.arange(0, rows * per_row + 1, per_row, dtype=np.int32)
-    return csr_matrix((w.reshape(-1), idx.reshape(-1), indptr), shape=(rows, n_cols))
-
-
 def self_field(state: np.ndarray, rotator: FrameRotator) -> np.ndarray:
     """Amplitude E_f(r(tau, xi)) of the self-consistent field on the (tau, xi) grid.
 
-    The lab-frame density of every slice of a two-scale state, its radial
-    Poisson field, spread back onto the xi mesh; shape (n_tau, n, n).  The
-    field itself is this amplitude times (-sin tau, cos tau).
+    Every slice of a two-scale state is deposited onto the r grid with the
+    spread's weights, rho = delta_xi * spread^T f, which keeps the mass of a
+    slice that stays inside the box; its radial Poisson field is then spread
+    back onto the xi mesh; shape (n_tau, n, n).  The field itself is this
+    amplitude times (-sin tau, cos tau).
     """
     nt, n = rotator.torus.n_tau, rotator.phase.n_points
-    rho = (rotator.to_density @ np.ravel(state)).reshape(nt, n)
+    rho = rotator.phase.delta_xi * (rotator.spread.T @ np.ravel(state)).reshape(nt, n)
     e_rad = radial_field(rho, rotator.phase)
     return (rotator.spread @ e_rad.reshape(-1)).reshape(nt, n, n)

@@ -9,8 +9,9 @@ import warnings
 import numpy as np
 import pytest
 
+from vlasov_ap import fields
 from vlasov_ap.averaging import project_mean
-from vlasov_ap.domain import PhaseGrid, TorusGrid, initial_distribution, rotate_to_rv, rotate_to_xi
+from vlasov_ap.domain import PhaseGrid, TorusGrid, initial_distribution, rotate_to_rv
 from vlasov_ap.fields import (
     FrameRotator,
     applied_amplitude,
@@ -163,7 +164,7 @@ def test_sample_plane_ramps_to_zero_ghosts():
 
 
 def _self_field_loops(state, phase, torus):
-    """Slow reference: the same density/field/spread pipeline, all loops."""
+    """Slow reference: the same deposit/field/spread pipeline, all loops."""
     n, nt = phase.n_points, torus.n_tau
     dxi = phase.delta_xi
     nodes = phase.nodes
@@ -171,22 +172,18 @@ def _self_field_loops(state, phase, torus):
     e2 = np.zeros((nt, n, n))
     for l in range(nt):
         tau = torus.nodes[l]
-        f_rv = np.zeros((n, n))
-        for i in range(n):
-            for j in range(n):
-                x, y = rotate_to_xi(tau, nodes[i], nodes[j])
-                gx = (x + phase.xi_max) / dxi
-                gy = (y + phase.xi_max) / dxi
-                i0, j0 = int(np.floor(gx)), int(np.floor(gy))
-                fx, fy = gx - i0, gy - j0
-                acc = 0.0
-                for di, dj, w in ((0, 0, (1 - fx) * (1 - fy)), (1, 0, fx * (1 - fy)),
-                                  (0, 1, (1 - fx) * fy), (1, 1, fx * fy)):
-                    ii, jj = i0 + di, j0 + dj
-                    if 0 <= ii < n and 0 <= jj < n:
-                        acc += w * state[l, ii, jj]
-                f_rv[i, j] = acc
-        rho = dxi * f_rv.sum(axis=1)
+        # deposit each xi node's mass on the two r nodes bracketing its radius
+        rho = np.zeros(n)
+        for p in range(n):
+            for q in range(n):
+                r_star = nodes[p] * np.cos(tau) + nodes[q] * np.sin(tau)
+                gx = (r_star + phase.xi_max) / dxi
+                k0 = int(np.floor(gx))
+                fx = gx - k0
+                if 0 <= k0 < n:
+                    rho[k0] += dxi * (1 - fx) * state[l, p, q]
+                if 0 <= k0 + 1 < n:
+                    rho[k0 + 1] += dxi * fx * state[l, p, q]
         half = n // 2
         cum = np.zeros(half)
         for i in range(1, half):
@@ -248,11 +245,51 @@ def test_self_field_against_loop_oracle():
         np.testing.assert_allclose(got2, want2, atol=1e-13)
 
 
-def _rotator_stacks(phase, torus):
-    """The rotator's entries built one tau slice at a time from (..., 2) corner stacks.
+def _deposited_density(state, rot, monkeypatch):
+    """The density rho(tau_l, r) that self_field hands to the radial solve."""
+    seen = []
 
-    The (index, weight) arrays of to_density and spread, row-major as the CSR
-    matrices store them, and the number of ghost corners met.
+    def spy(rho, grid):
+        seen.append(rho)
+        return radial_field(rho, grid)
+
+    monkeypatch.setattr(fields, "radial_field", spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # random states are not even in r
+        self_field(state, rot)
+    return seen[0]
+
+
+def test_deposit_keeps_each_slice_mass(monkeypatch):
+    # the bump vanishes beyond radius 3, so every rotated radius with mass
+    # stays inside [-xi_max, xi_max - delta_xi] and both of its weights land
+    phase, torus = PhaseGrid(32), TorusGrid(16)
+    x1, x2 = phase.mesh()
+    bump = np.clip(1.0 - (x1 ** 2 + x2 ** 2) / 9.0, 0.0, None) ** 3
+    state = bump[None] * (1.0 + 0.3 * np.random.default_rng(5).random((16, 1, 1)))
+    rho = _deposited_density(state, FrameRotator(phase, torus), monkeypatch)
+    np.testing.assert_allclose(
+        rho.sum(axis=1) * phase.delta_xi, phase.delta_xi ** 2 * state.sum(axis=(1, 2)), rtol=1e-13
+    )
+
+
+def test_deposit_is_the_adjoint_of_the_spread(monkeypatch):
+    # <spread e, f> delta_xi = <e, rho(f)>: deposit and spread share one weighting
+    phase, torus = PhaseGrid(16, 3.5), TorusGrid(8)
+    rot = FrameRotator(phase, torus)
+    rng = np.random.default_rng(3)
+    e = rng.random((8, 16))
+    f = rng.random((8, 16, 16))
+    rho = _deposited_density(f, rot, monkeypatch)
+    lhs = np.dot(rot.spread @ e.ravel(), f.ravel()) * phase.delta_xi
+    np.testing.assert_allclose(lhs, np.dot(e.ravel(), rho.ravel()), rtol=1e-13)
+
+
+def _rotator_stacks(phase, torus):
+    """The spread's entries built one tau slice at a time from (..., 2) corner stacks.
+
+    Its (index, weight) arrays, row-major as the CSR matrix stores them, and
+    the number of ghost corners met.
     """
     n, nt = phase.n_points, torus.n_tau
 
@@ -265,42 +302,35 @@ def _rotator_stacks(phase, torus):
         inside = (k >= 0) & (k < n)
         return np.where(inside, k, 0).astype(np.int32), np.where(inside, w, 0.0), (~inside).sum()
 
-    dens_idx = np.empty((nt, n, n, 2, 2), dtype=np.int32)
-    dens_w = np.empty((nt, n, n, 2, 2))
     spread_idx = np.empty((nt, n, n, 2), dtype=np.int32)
     spread_w = np.empty((nt, n, n, 2))
     ghosts = 0
     a, b = phase.mesh()
     for l, tau in enumerate(torus.nodes):
-        x1, x2 = rotate_to_xi(tau, a, b)
-        (i1, w1, g1), (i2, w2, g2) = weights(x1), weights(x2)
-        dens_idx[l] = l * n * n + n * i1[..., :, None] + i2[..., None, :]
-        dens_w[l] = phase.delta_xi * w1[..., :, None] * w2[..., None, :]
-        k, w, g3 = weights(rotate_to_rv(tau, a, b)[0])
+        k, w, g = weights(rotate_to_rv(tau, a, b)[0])
         spread_idx[l] = l * n + k
         spread_w[l] = w
-        ghosts += g1 + g2 + g3
-    return (dens_idx.ravel(), dens_w.ravel()), (spread_idx.ravel(), spread_w.ravel()), ghosts
+        ghosts += g
+    return spread_idx.ravel(), spread_w.ravel(), ghosts
 
 
 @pytest.mark.parametrize("n, n_tau", [(16, 8), (32, 16)])
 def test_frame_rotator_matches_the_stacked_construction_entry_for_entry(n, n_tau):
-    # at xi_max 3.5 delta_xi is not a power of two, so the order of the weight products shows
+    # at xi_max 3.5 delta_xi is not a power of two, so rounding in the weights shows
     phase, torus = PhaseGrid(n, 3.5), TorusGrid(n_tau)
-    rot = FrameRotator(phase, torus)
-    dens, spread, ghosts = _rotator_stacks(phase, torus)
+    mat = FrameRotator(phase, torus).spread
+    idx, w, ghosts = _rotator_stacks(phase, torus)
     assert ghosts > 0  # rotated nodes leave the box, so zero ghosts are stored
-    for mat, (idx, w), per_row in ((rot.to_density, dens, 4 * n), (rot.spread, spread, 2)):
-        assert np.array_equal(mat.data, w)
-        assert np.array_equal(mat.indices, idx)
-        assert np.array_equal(mat.indptr, np.arange(0, idx.size + 1, per_row))
-        assert mat.indices.dtype == mat.indptr.dtype == np.int32
+    assert np.array_equal(mat.data, w)
+    assert np.array_equal(mat.indices, idx)
+    assert np.array_equal(mat.indptr, np.arange(0, idx.size + 1, 2))
+    assert mat.indices.dtype == mat.indptr.dtype == np.int32
 
 
 def test_frame_rotator_rejects_int32_overflow():
-    # 4 * 32 * 4096**2 operator entries do not fit int32; nothing is allocated
+    # 2 * 16 * 8192**2 spread entries do not fit int32; nothing is allocated
     with pytest.raises(ValueError, match="int32"):
-        FrameRotator(PhaseGrid(4096), TorusGrid(32))
+        FrameRotator(PhaseGrid(8192), TorusGrid(16))
 
 
 def test_self_field_radial_state():
