@@ -13,15 +13,17 @@ density computed in the lab frame, rotated back:
 
 Both are a scalar amplitude times (-sin tau, cos tau); applied_amplitude and
 self_field return the amplitudes, and the stepper applies its xi stencils
-straight from their sum.  The radial integral lives on the same box as the xi
+straight from their sum.  A stepper stage takes the self-field amplitude one
+block of tau slices at a time instead: radial_profiles once for all slices,
+then spread per block.  The radial integral lives on the same box as the xi
 grid, reusing its nodes as the r grid.  The self-field uses one linear map,
-fixed for a run and held by FrameRotator as a sparse matrix: the spread of a
-radial profile to its values at r(tau_l, xi).  Its transpose deposits each xi
-node's mass onto the r grid with the same weights, which gives the density
-rho(tau_l, r), as in particle-in-cell charge assignment.  Interpolation here
-extends the grid by zero ghost nodes, so a lookup ramps to zero within one
-cell past the outermost nodes; the distribution is assumed compactly
-supported inside the box.
+fixed for a run and held by FrameRotator as one sparse matrix per block of
+tau slices: the spread of a radial profile to its values at r(tau_l, xi).
+Its transpose deposits each xi node's mass onto the r grid with the same
+weights, which gives the density rho(tau_l, r), as in particle-in-cell
+charge assignment.  Interpolation here extends the grid by zero ghost
+nodes, so a lookup ramps to zero within one cell past the outermost nodes;
+the distribution is assumed compactly supported inside the box.
 """
 from __future__ import annotations
 
@@ -33,6 +35,7 @@ import numpy as np
 from scipy.ndimage import map_coordinates
 from scipy.sparse import csr_matrix
 
+from .averaging import BLOCK_ENTRIES
 from .domain import PhaseGrid, TorusGrid, rotate_to_rv
 
 
@@ -141,15 +144,20 @@ class FrameRotator:
     """The self-field's linear map between radial profiles and the xi mesh.
 
     The rotation angles and both grids never change during a run, so the map
-    is built once as a CSR matrix with int32 indices, one tau slice at a time,
-    each bracketing node written straight into the preallocated entry arrays:
+    is built once, as one CSR matrix with int32 indices per block of tau
+    slices of about averaging.BLOCK_ENTRIES entries (blocks[b] holds the
+    slices, spreads[b] the matrix); each bracketing node is written straight
+    into the block's preallocated entry arrays, one slice at a time:
 
-    spread, (n_tau*n*n) x (n_tau*n): samples each slice's radial profile
-        linearly at r(tau_l, xi) = xi1 cos tau_l + xi2 sin tau_l.
+    spreads[b], (m*n*n) x (m*n) for the m slices of block b: samples each
+        slice's radial profile linearly at r(tau_l, xi) = xi1 cos tau_l + xi2 sin tau_l.
 
-    Its transpose deposits a state's mass onto the r grid with the same
-    weights.  Every row holds two entries; a bracketing node off the grid is a
-    zero ghost, stored as an explicit zero weight.
+    The columns are local to the block, so a stage can take the amplitude of
+    one block of slices without forming the whole (a row slice of one big
+    CSR matrix would be a copy).  The transpose, deposits[b], a CSC view of
+    the same arrays, deposits the block's mass onto the r grid with the same
+    weights.  Every row holds two entries; a bracketing node off the grid is
+    a zero ghost, stored as an explicit zero weight.
     """
 
     def __init__(self, phase: PhaseGrid, torus: TorusGrid):
@@ -159,17 +167,24 @@ class FrameRotator:
         if 2 * nt * n * n >= 2 ** 31:
             raise ValueError("grid too large for int32 operator indices")
 
-        spread_idx = np.empty((nt, n, n, 2), dtype=np.int32)
-        spread_w = np.empty((nt, n, n, 2))
+        width = max(1, BLOCK_ENTRIES // (n * n))
+        self.blocks = [slice(start, min(start + width, nt)) for start in range(0, nt, width)]
+        self.spreads = []
         xi1, xi2 = phase.mesh()
-        for l, tau in enumerate(torus.nodes):
-            for c, (k, w) in enumerate(_linear_weights(phase, rotate_to_rv(tau, xi1, xi2)[0])):
-                np.add(l * n, k, out=spread_idx[l, ..., c])
-                spread_w[l, ..., c] = w
-        indptr = np.arange(0, spread_idx.size + 1, 2, dtype=np.int32)
-        self.spread = csr_matrix(
-            (spread_w.reshape(-1), spread_idx.reshape(-1), indptr), shape=(nt * n * n, nt * n)
-        )
+        for taus in self.blocks:
+            m = taus.stop - taus.start
+            spread_idx = np.empty((m, n, n, 2), dtype=np.int32)
+            spread_w = np.empty((m, n, n, 2))
+            for l, tau in enumerate(torus.nodes[taus]):
+                for c, (k, w) in enumerate(_linear_weights(phase, rotate_to_rv(tau, xi1, xi2)[0])):
+                    np.add(l * n, k, out=spread_idx[l, ..., c])
+                    spread_w[l, ..., c] = w
+            indptr = np.arange(0, spread_idx.size + 1, 2, dtype=np.int32)
+            self.spreads.append(csr_matrix(
+                (spread_w.reshape(-1), spread_idx.reshape(-1), indptr), shape=(m * n * n, m * n)
+            ))
+        # CSC views of the same arrays, taken once rather than on every deposit
+        self.deposits = [matrix.T for matrix in self.spreads]
 
 
 def _linear_weights(grid: PhaseGrid, x: np.ndarray):
@@ -187,16 +202,40 @@ def _linear_weights(grid: PhaseGrid, x: np.ndarray):
     return pairs
 
 
+def radial_profiles(state: np.ndarray, rotator: FrameRotator) -> np.ndarray:
+    """Radial Poisson field E_f(r) of every tau slice of a two-scale state; shape (n_tau, n).
+
+    Each slice is deposited onto the r grid with the spread's weights,
+    rho = delta_xi * spread^T f, one block of slices at a time, which keeps
+    the mass of a slice that stays inside the box; the radial field of all
+    slices is then taken at once.
+    """
+    n = rotator.phase.n_points
+    rho = np.empty((rotator.torus.n_tau, n))
+    for taus, deposit in zip(rotator.blocks, rotator.deposits):
+        rho[taus] = (deposit @ np.ravel(state[taus])).reshape(-1, n)
+    rho *= rotator.phase.delta_xi
+    return radial_field(rho, rotator.phase)
+
+
+def spread(e_rad: np.ndarray, rotator: FrameRotator, block: int) -> np.ndarray:
+    """Amplitude E_f(r(tau, xi)) on the slices of one block, from radial_profiles' e_rad; shape (m, n, n)."""
+    n = rotator.phase.n_points
+    return (rotator.spreads[block] @ np.ravel(e_rad[rotator.blocks[block]])).reshape(-1, n, n)
+
+
 def self_field(state: np.ndarray, rotator: FrameRotator) -> np.ndarray:
     """Amplitude E_f(r(tau, xi)) of the self-consistent field on the (tau, xi) grid.
 
-    Every slice of a two-scale state is deposited onto the r grid with the
-    spread's weights, rho = delta_xi * spread^T f, which keeps the mass of a
-    slice that stays inside the box; its radial Poisson field is then spread
-    back onto the xi mesh; shape (n_tau, n, n).  The field itself is this
-    amplitude times (-sin tau, cos tau).
+    The radial profiles of the state's slices are spread back onto the xi
+    mesh block by block, into one array of shape (n_tau, n, n).  The field
+    itself is this amplitude times (-sin tau, cos tau).  A stepper stage
+    that needs the amplitude one block at a time calls radial_profiles and
+    spread itself.
     """
-    nt, n = rotator.torus.n_tau, rotator.phase.n_points
-    rho = rotator.phase.delta_xi * (rotator.spread.T @ np.ravel(state)).reshape(nt, n)
-    e_rad = radial_field(rho, rotator.phase)
-    return (rotator.spread @ e_rad.reshape(-1)).reshape(nt, n, n)
+    e_rad = radial_profiles(state, rotator)
+    n = rotator.phase.n_points
+    out = np.empty((rotator.torus.n_tau, n, n))
+    for b, taus in enumerate(rotator.blocks):
+        out[taus] = spread(e_rad, rotator, b)
+    return out

@@ -275,9 +275,14 @@ def _closed_form_only(config: RunConfig, what: str):
 
 
 def _stepwise(step):
-    """advance(state, k0, k1, dt) made of k1 - k0 calls step(state, dt)."""
+    """advance(held, k0, k1, dt) made of k1 - k0 calls step(state, dt) on the state taken out of held.
 
-    def advance(state, k0, k1, dt):
+    The run loop hands the span's first state over in the one-element list
+    held, so once the first step has returned nothing holds it any more.
+    """
+
+    def advance(held, k0, k1, dt):
+        state = held.pop()
         for _ in range(k0, k1):
             state = step(state, dt)
         return state
@@ -353,7 +358,10 @@ def _splitting_scheme(config: RunConfig):
         f_tilde = reference.filtered_from_rv(f_rv, solver.phase, t, config.epsilon)
         return f_tilde, f_rv, total_mass(f_rv, solver.phase)
 
-    return solver.initial_state(), dt_hint, solver.solve, observe
+    def advance(held, k0, k1, dt):
+        return solver.solve(held.pop(), k0, k1, dt)
+
+    return solver.initial_state(), dt_hint, advance, observe
 
 
 def _model_scheme(config: RunConfig):
@@ -372,7 +380,7 @@ def _model_scheme(config: RunConfig):
         return f_tilde, f_rv, total_mass(f_tilde, grid)
 
     dt_hint = config.delta_t or (config.t_final / 256.0 or 1.0)
-    return None, dt_hint, lambda state, k0, k1, dt: state, observe
+    return None, dt_hint, lambda held, k0, k1, dt: held.pop(), observe
 
 
 _SCHEME_SETUPS = {
@@ -392,11 +400,13 @@ def run(config: RunConfig, write: bool = True) -> RunResult:
 
     Each scheme supplies its initial state, a step hint, an advance from step
     k0 to step k1 and an observation (f~, f_rv, mass) at time t, whose
-    lab-frame f_rv is built for snapshot steps only (None elsewhere); this
-    loop alone decides where to observe.  It observes step 0, every
-    rms_every-th step, the last step and every snapshot step, and only at
-    those steps, so the splitting scheme fuses its half drifts everywhere
-    else; each span between two observed steps is one advance call.
+    lab-frame f_rv is built for snapshot steps only (None elsewhere).  The
+    advance takes the span's first state out of a one-element list, so a
+    span holds no state but its steps' own.  This loop alone decides where
+    to observe.  It observes step 0, every rms_every-th step, the last step
+    and every snapshot step, and only at those steps, so the splitting
+    scheme fuses its half drifts everywhere else; each span between two
+    observed steps is one advance call.
     Snapshot files are written whether or not ``write`` is set.
     """
     state, dt_hint, advance, observe = _SCHEME_SETUPS[config.scheme](config)
@@ -409,7 +419,8 @@ def run(config: RunConfig, write: bool = True) -> RunResult:
     k0 = 0
     for k in sorted({0, n_steps, *range(0, n_steps, every), *snaps}):
         if k > k0:
-            state = advance(state, k0, k, dt)
+            held, state = [state], None
+            state = advance(held, k0, k, dt)
         k0 = k
         t = k * dt
         f_tilde, f_rv, mass = observe(state, t, k in snaps)

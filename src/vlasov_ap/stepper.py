@@ -32,6 +32,15 @@ amplitude alone; in poisson mode it includes the self-field of the stage's
 state, so P is applied with the field of F and Q with that of F*.  No stage
 keeps anything between calls.
 
+A two-scale state is n_tau times the physical grid, so a step is counted in
+whole states.  It holds its input F and one working array A, and every other
+temporary is a block: A = P F, then A <- R A (this is F*), A <- Q A, and
+A <- R(A + (I - lam L) F) in one pass per block of pencils.  The tau
+products act on each xi pencil alone and the stencils on each tau slice
+alone, so each writes over its own input; a poisson stage takes the
+self-field's radial profiles from the whole state first, then its amplitude
+one block of tau slices at a time.
+
 A micro-macro variant of the same pattern handles the longer diffusion time
 scale, where the tension is mean-free and the solution is split as
 F = G + h with G = Pi F.  Its xi parts are the same stencils: Phi of the
@@ -43,15 +52,6 @@ import numpy as np
 
 from . import averaging, fields
 from .domain import PhaseGrid, TorusGrid, initial_distribution
-
-# entries per block of xi pencils in which APSolver.initial_state builds the
-# corrected state: 512 kB per temporary, 1024 pencils at n_tau = 64.  A block
-# holds about six such temporaries at its peak, so larger blocks cost memory
-# for no speed, and much smaller ones pay numpy's per-call overhead: at
-# 128^2 x 64 on one core, blocks of 2^16 and 2^17 entries took 87 ms and
-# blocks of 2^13 entries 119 ms, as long as the build on whole states
-INIT_BLOCK_ENTRIES = 1 << 16
-
 
 def xi_operator(
     g: np.ndarray,
@@ -65,13 +65,14 @@ def xi_operator(
     """c_avg * (four-point average) + c_flux * Phi applied to f, for the field g (-sin tau, cos tau).
 
     f holds m slices of shape (n, n), g the amplitude on (at least) those m
-    slices and tau their m angles; g and tau go unread when c_flux is 0.  Each
-    slice goes through one zero-padded (n + 2, n + 2) buffer, whose pad is the
-    zero ghost outside the box, so only slice-sized scratch is allocated.  The
+    slices, as an array or as any iterable of its slices in order, and tau
+    their m angles; g and tau go unread when c_flux is 0.  Each slice goes
+    through one zero-padded (n + 2, n + 2) buffer, whose pad is the zero
+    ghost outside the box, so only slice-sized scratch is allocated.  The
     result is written into out, an array of f's shape, or into a new one when
-    out is None, and returned.  out may be g itself: slice l of the result is
-    written only after slice l of g and f has been read, and no other slice
-    of either is read for it.
+    out is None, and returned.  out may be g or f itself: slice l of the
+    result is written only after slice l of g and f has been read, and no
+    other slice of either is read for it.
     """
     n = f.shape[-1]
     c = c_flux / (2.0 * delta_xi)
@@ -89,11 +90,12 @@ def xi_operator(
     total, tmp = acc.reshape(-1)[start:start + size], np.empty(size)
     if c:
         ey, ex = (c * -np.sin(tau)).tolist(), (c * np.cos(tau)).tolist()
+        g = iter(g)
     # the first term of each slice's sum is written over the last slice's, so
     # total is never cleared; when c and q are both 0 it keeps its zeros
     for l, o in enumerate(out):
         if c:
-            np.multiply(g[l], f[l], out=inner)
+            np.multiply(next(g), f[l], out=inner)
             np.subtract(up, down, out=total)
             total *= ey[l]
             np.subtract(right, left, out=tmp)
@@ -177,11 +179,13 @@ class APSolver:
         S the tau-antiderivative (from zero) of the mean-free part of the
         initial field.  Being a composition with f0 it stays nonnegative.
         The tau operators act on each xi pencil alone, so the shift and f0
-        are evaluated on blocks of about INIT_BLOCK_ENTRIES entries, one
-        field component at a time, and written straight into the returned
-        array.  The field is that of the plain state, which is passed on as a
-        read-only broadcast view; so beyond the result only the field
-        amplitude (in poisson mode) and a few blocks are ever held.
+        are evaluated on blocks of about averaging.BLOCK_ENTRIES entries,
+        one field component at a time.  The field is that of the plain
+        state, which is passed on as a read-only broadcast view.  A poisson
+        field amplitude is the build's own array, so each block of the
+        result is written over the block of it that it was built from; the
+        linear one is the shared applied amplitude, so the result has its
+        own array.  So beyond the result only a few blocks are ever held.
         """
         x1, x2 = self.phase.mesh()
         nt = self.torus.n_tau
@@ -194,8 +198,8 @@ class APSolver:
         tau = self.torus.nodes.reshape(-1, 1)
         directions = (-np.sin(tau), np.cos(tau))
         xs = (x1.reshape(-1), x2.reshape(-1))
-        out = np.empty(g.shape)
-        width = max(1, INIT_BLOCK_ENTRIES // nt)
+        out = g if self.mode == "poisson" else np.empty(g.shape)
+        width = max(1, averaging.BLOCK_ENTRIES // nt)
         for start in range(0, out.shape[1], width):
             cols = slice(start, start + width)
             shifted = [
@@ -206,25 +210,39 @@ class APSolver:
         return out.reshape((nt,) + x1.shape)
 
     def advance(self, state: np.ndarray, dt: float) -> np.ndarray:
-        """One step: the predictor F* = R(P F), then the corrector F+ = R(Q F* + (I - lam L) F)."""
-        lam = dt / (2.0 * self.epsilon)
-        f_half = averaging.solve_implicit_tau(self._stage(0, state, dt), lam)
-        rhs = self._stage(1, f_half, dt)
-        del f_half  # freed before explicit_tau makes the next state-sized array
-        rhs += averaging.explicit_tau(state, lam)
-        out = averaging.solve_implicit_tau(rhs, lam)
-        if not np.all(np.isfinite(out)):
-            raise RuntimeError("non-finite values in the state; reduce dt")
-        return out
+        """One step: the predictor F* = R(P F), then the corrector F+ = R(Q F* + (I - lam L) F).
 
-    def _stage(self, stage: int, f: np.ndarray, dt: float) -> np.ndarray:
-        """The xi part of the predictor (stage 0, P f) or the corrector (stage 1, Q f), for the field of f."""
+        Beyond state, which is left as it is, only the returned array and a
+        few blocks are held: each stage and product writes over the array.
+        """
+        lam = dt / (2.0 * self.epsilon)
+        out = self._stage(0, state, dt, np.empty(state.shape))
+        averaging.solve_implicit_tau(out, lam, out=out)
+        self._stage(1, out, dt, out)
+        return averaging.crank_nicolson_tau(out, state, lam)
+
+    def _stage(self, stage: int, f: np.ndarray, dt: float, out: np.ndarray) -> np.ndarray:
+        """The xi part of the predictor (stage 0, P f) or the corrector (stage 1, Q f), for the field of f.
+
+        The result is written into out, which may be f.  A linear stage
+        applies the shared applied amplitude, a poisson stage its amplitude
+        as _amplitude_slices forms it.
+        """
         c_avg, c_flux = ((1.0, -0.5 * dt), (0.0, -dt))[stage]
-        g = self._field_amplitude(f)
-        # a poisson stage's amplitude is its own fresh array, so the result is
-        # written over it; the linear one is the shared applied amplitude
-        out = g if self.mode == "poisson" else None
+        g = self.applied_amplitude if self.mode == "linear" else self._amplitude_slices(f)
         return xi_operator(g, self.torus.nodes, self.phase.delta_xi, c_avg, c_flux, f, out)
+
+    def _amplitude_slices(self, f: np.ndarray):
+        """The poisson amplitude of f, applied plus self-field, slice by slice.
+
+        The radial profiles are taken from all of f before the first slice is
+        yielded; the amplitude is then formed one block of tau slices at a time.
+        """
+        e_rad = fields.radial_profiles(f, self.rotator)
+        for b, taus in enumerate(self.rotator.blocks):
+            g = fields.spread(e_rad, self.rotator, b)
+            g += self.applied_amplitude[taus]
+            yield from g
 
     def suggest_dt(self, state: np.ndarray) -> float:
         return cfl_dt(self._field_amplitude(state), self.torus.nodes, self.phase.delta_xi)

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from vlasov_ap.averaging import (
+    BLOCK_ENTRIES,
     antiderivative_from_zero,
+    crank_nicolson_tau,
     eval_at_tau,
     explicit_tau,
     fluctuation,
@@ -261,6 +263,28 @@ def test_operator_edge_cases():
     u = solve_implicit_tau(g, 0.0)
     np.testing.assert_array_equal(u, g)
     assert not np.shares_memory(u, g)
+
+
+def test_blocked_products_in_place_match_the_whole_array_product():
+    # 48^2 pencils at n_tau = 64 against blocks of 1024 pencils: the last block is ragged
+    rng = np.random.default_rng(23)
+    g, f = rng.standard_normal((2, 64, 48, 48))
+    assert 48 * 48 % (BLOCK_ENTRIES // 64) != 0
+    lam = 0.37
+    for op in (solve_implicit_tau, explicit_tau):
+        matrix = op(np.eye(64), lam)  # the nodal matrix itself: m @ I is m to the bit
+        assert np.array_equal(op(g, lam), (matrix @ g.reshape(64, -1)).reshape(g.shape))
+    u = g.copy()
+    assert solve_implicit_tau(u, lam, out=u) is u
+    assert np.array_equal(u, solve_implicit_tau(g, lam))
+    assert solve_implicit_tau(g, 0.0, out=u) is u and np.array_equal(u, g)
+    # the corrector's one pass against its two products taken one after the other
+    y = g.copy()
+    assert crank_nicolson_tau(y, f, lam) is y
+    assert np.array_equal(y, solve_implicit_tau(g + explicit_tau(f, lam), lam))
+    y[5, 45, 10] = np.inf  # pencil 2170, in the ragged last block
+    with pytest.raises(RuntimeError, match="non-finite values in the state; reduce dt"):
+        crank_nicolson_tau(y, f, lam)
 
 
 def test_operators_reject_odd_length():

@@ -220,14 +220,30 @@ def test_selftest_passes():
 
 
 def test_selftest_exits_1_under_a_broken_operator(monkeypatch, capsys):
-    # a resolvent that returns its input fails two checks, and the status is still 1
-    monkeypatch.setattr(averaging, "solve_implicit_tau", lambda rhs, lam: rhs)
+    # a resolvent that returns its input, in the predictor and in the
+    # corrector's one pass alike, fails two checks on their bands, and the
+    # status is still 1
+    solve, broken = averaging.solve_implicit_tau, []
+
+    def predictor(rhs, lam, out=None):
+        broken.append("predictor")
+        return solve(rhs, 0.0, out)  # lam = 0: an exact copy
+
+    def corrector(y, f, lam):
+        broken.append("corrector")
+        return np.add(y, averaging.explicit_tau(f, lam), out=y)
+
+    monkeypatch.setattr(averaging, "solve_implicit_tau", predictor)
+    monkeypatch.setattr(averaging, "crank_nicolson_tau", corrector)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the broken runs trip the edge-mass warning
         assert main(["selftest"]) == 1
     out = capsys.readouterr().out
-    assert "FAIL linear ap vs exact" in out and "FAIL poisson ap mass drift" in out
+    for name in ("linear ap vs exact", "poisson ap mass drift"):
+        assert f"FAIL {name}: " in out and "(band [" in out.split(f"FAIL {name}: ")[1].splitlines()[0]
     assert "2 of 4 checks passed" in out
+    # every step went through both broken resolvents
+    assert broken.count("predictor") == broken.count("corrector") > 0
     # a flux 5 % too strong lowers the linear ap error (6.8e-3 against 9.4e-3),
     # so only the lower edge of that check's band catches it
     monkeypatch.undo()

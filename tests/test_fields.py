@@ -8,8 +8,9 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix, vstack
 
-from vlasov_ap import fields
+from vlasov_ap import averaging, fields
 from vlasov_ap.averaging import project_mean
 from vlasov_ap.domain import PhaseGrid, TorusGrid, initial_distribution, rotate_to_rv
 from vlasov_ap.fields import (
@@ -281,8 +282,21 @@ def test_deposit_is_the_adjoint_of_the_spread(monkeypatch):
     e = rng.random((8, 16))
     f = rng.random((8, 16, 16))
     rho = _deposited_density(f, rot, monkeypatch)
-    lhs = np.dot(rot.spread @ e.ravel(), f.ravel()) * phase.delta_xi
+    lhs = np.dot(whole_spread(rot) @ e.ravel(), f.ravel()) * phase.delta_xi
     np.testing.assert_allclose(lhs, np.dot(e.ravel(), rho.ravel()), rtol=1e-13)
+
+
+def whole_spread(rot):
+    """The rotator's per-block spreads as the one block-diagonal spread of a whole state.
+
+    Each block's columns are shifted to its first slice and the blocks are
+    stacked as CSR, which keeps every stored entry (block_diag would drop
+    the explicit zero ghosts).
+    """
+    n, cols = rot.phase.n_points, rot.torus.n_tau * rot.phase.n_points
+    shifted = [csr_matrix((m.data, m.indices + taus.start * n, m.indptr), (m.shape[0], cols))
+               for taus, m in zip(rot.blocks, rot.spreads)]
+    return vstack(shifted, format="csr")
 
 
 def _rotator_stacks(phase, torus):
@@ -314,11 +328,16 @@ def _rotator_stacks(phase, torus):
     return spread_idx.ravel(), spread_w.ravel(), ghosts
 
 
-@pytest.mark.parametrize("n, n_tau", [(16, 8), (32, 16)])
+# one block of tau slices, and (at 96^2, 7 slices a block) two full blocks and a partial one
+@pytest.mark.parametrize("n, n_tau", [(16, 8), (32, 16), (96, 16)])
 def test_frame_rotator_matches_the_stacked_construction_entry_for_entry(n, n_tau):
     # at xi_max 3.5 delta_xi is not a power of two, so rounding in the weights shows
     phase, torus = PhaseGrid(n, 3.5), TorusGrid(n_tau)
-    mat = FrameRotator(phase, torus).spread
+    rot = FrameRotator(phase, torus)
+    width = averaging.BLOCK_ENTRIES // (n * n)
+    starts = range(0, n_tau, width)
+    assert [(b.start, b.stop) for b in rot.blocks] == [(s, min(s + width, n_tau)) for s in starts]
+    mat = whole_spread(rot)
     idx, w, ghosts = _rotator_stacks(phase, torus)
     assert ghosts > 0  # rotated nodes leave the box, so zero ghosts are stored
     assert np.array_equal(mat.data, w)

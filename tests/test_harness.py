@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -275,6 +276,29 @@ def test_every_scheme_observes_exactly_the_scheduled_steps(scheme, tmp_path, mon
         calls.update(_drift=0, _kick=0)
         run(cfg.replace(snapshot_times=()), write=False)
         assert calls == {"_drift": 10, "_kick": 8}
+
+
+def test_a_quiet_run_holds_two_states_while_it_steps(monkeypatch):
+    # rows every second step make each span two advances; the second one holds
+    # its input and its working array, and nothing holds the span's first
+    # state any more.  Tracing starts at the first advance, so the set-up is
+    # not counted: measured 2.29 state sizes at 128^2 x 32, against 3.29 when
+    # the run loop kept the span's first state alive
+    advance = stepper.APSolver.advance
+
+    def traced(self, state, dt):
+        if not tracemalloc.is_tracing():
+            tracemalloc.start()
+        return advance(self, state, dt)
+
+    monkeypatch.setattr(stepper.APSolver, "advance", traced)
+    cfg = RunConfig(epsilon=0.25, t_final=0.06, n_points=128, n_tau=32, delta_t=0.01, rms_every=2)
+    try:
+        run(cfg, write=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * (32 * 128 * 128 * 8)
 
 
 def test_lab_frame_is_built_for_snapshot_steps_only(tmp_path, monkeypatch):
