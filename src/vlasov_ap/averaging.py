@@ -25,7 +25,9 @@ tau axis; on one core, at 128 x 128 pencils, it stays below the FFT pair up
 to at least n_tau = 256 (a resolvent solve took 59 ms against 186 ms, and
 5.7 ms against 40 ms at n_tau = 64).
 
-Each product runs over blocks of about BLOCK_ENTRIES entries of pencils, so
+State-sized work, here and in the stepper and fields modules, runs over
+the slices that block_slices gives: blocks of about BLOCK_ENTRIES entries,
+at least one index each.  Each product runs over blocks of pencils, so
 beyond its result it holds one block, and a result may be written over its
 input.  A block's columns go through the same BLAS kernel as the whole
 array's, so every entry is the same to the bit.  The stepper's corrector
@@ -57,6 +59,17 @@ def fluctuation(g: np.ndarray) -> np.ndarray:
     return g - g.mean(axis=0, keepdims=True)
 
 
+def block_slices(length: int, size: int) -> list[slice]:
+    """Consecutive slices covering range(length), for indices of size entries each.
+
+    Each slice but the last spans as many indices as fit in BLOCK_ENTRIES
+    entries, and at least one, so a block holds about BLOCK_ENTRIES entries
+    or a single index of more.
+    """
+    width = max(1, BLOCK_ENTRIES // size)
+    return [slice(start, min(start + width, length)) for start in range(0, length, width)]
+
+
 def _matrix(n: int, symbol) -> np.ndarray:
     """The real n x n nodal matrix of the multiplier symbol(k), k = 0..n/2."""
     if n % 2:
@@ -78,9 +91,7 @@ def _multiplier(g: np.ndarray, symbol, rows=slice(None), out=None) -> np.ndarray
     if out is None:
         out = np.empty(m.shape[:1] + g.shape[1:])
     pencils, dest = g.reshape(n, -1), out.reshape(len(m), -1)
-    width = max(1, BLOCK_ENTRIES // n)
-    for start in range(0, pencils.shape[1], width):
-        cols = slice(start, start + width)
+    for cols in block_slices(pencils.shape[1], n):
         dest[:, cols] = m @ pencils[:, cols]
     return out
 
@@ -157,9 +168,7 @@ def crank_nicolson_tau(y: np.ndarray, f: np.ndarray, lam: float) -> np.ndarray:
     n = f.shape[0]
     explicit, resolvent = _matrix(n, _explicit(lam)), _matrix(n, _resolvent(lam))
     ys, fs = y.reshape(n, -1), f.reshape(n, -1)
-    width = max(1, BLOCK_ENTRIES // n)
-    for start in range(0, ys.shape[1], width):
-        cols = slice(start, start + width)
+    for cols in block_slices(ys.shape[1], n):
         t = explicit @ fs[:, cols]
         t += ys[:, cols]
         ys[:, cols] = resolvent @ t

@@ -11,19 +11,19 @@ density computed in the lab frame, rotated back:
     E_self(tau, xi) = E_f(r(tau, xi)) * (-sin tau, cos tau),
     E_f(r) = (1/r) * integral_0^r s rho(s) ds,  r(tau, xi) = xi1 cos tau + xi2 sin tau.
 
-Both are a scalar amplitude times (-sin tau, cos tau); applied_amplitude and
-self_field return the amplitudes, and the stepper applies its xi stencils
-straight from their sum.  A stepper stage takes the self-field amplitude one
-block of tau slices at a time instead: radial_profiles once for all slices,
-then spread per block.  The radial integral lives on the same box as the xi
-grid, reusing its nodes as the r grid.  The self-field uses one linear map,
-fixed for a run and held by FrameRotator as one sparse matrix per block of
-tau slices: the spread of a radial profile to its values at r(tau_l, xi).
-Its transpose deposits each xi node's mass onto the r grid with the same
-weights, which gives the density rho(tau_l, r), as in particle-in-cell
-charge assignment.  Interpolation here extends the grid by zero ghost
-nodes, so a lookup ramps to zero within one cell past the outermost nodes;
-the distribution is assumed compactly supported inside the box.
+Both are a scalar amplitude times (-sin tau, cos tau), and the stepper
+applies its xi stencils straight from their sum.  The self-field's is taken
+in two calls, radial_profiles once for all tau slices of a state, then
+spread per block of slices, so no state-sized amplitude is formed.  The
+radial integral lives on the same box as the xi grid, reusing its nodes as
+the r grid.  The self-field uses one linear map, fixed for a run and held
+by FrameRotator as one sparse matrix per block of tau slices: the spread of
+a radial profile to its values at r(tau_l, xi).  Its transpose deposits
+each xi node's mass onto the r grid with the same weights, which gives the
+density rho(tau_l, r), as in particle-in-cell charge assignment.
+Interpolation here extends the grid by zero ghost nodes, so a lookup ramps
+to zero within one cell past the outermost nodes; the distribution is
+assumed compactly supported inside the box.
 """
 from __future__ import annotations
 
@@ -35,7 +35,7 @@ import numpy as np
 from scipy.ndimage import map_coordinates
 from scipy.sparse import csr_matrix
 
-from .averaging import BLOCK_ENTRIES
+from .averaging import block_slices
 from .domain import PhaseGrid, TorusGrid, rotate_to_rv
 
 
@@ -145,8 +145,9 @@ class FrameRotator:
 
     The rotation angles and both grids never change during a run, so the map
     is built once, as one CSR matrix with int32 indices per block of tau
-    slices of about averaging.BLOCK_ENTRIES entries (blocks[b] holds the
-    slices, spreads[b] the matrix); each bracketing node is written straight
+    slices from averaging.block_slices (blocks[b] holds the slices,
+    spreads[b] the matrix; a slice of more than averaging.BLOCK_ENTRIES
+    entries is a block of its own); each bracketing node is written straight
     into the block's preallocated entry arrays, one slice at a time:
 
     spreads[b], (m*n*n) x (m*n) for the m slices of block b: samples each
@@ -167,8 +168,7 @@ class FrameRotator:
         if 2 * nt * n * n >= 2 ** 31:
             raise ValueError("grid too large for int32 operator indices")
 
-        width = max(1, BLOCK_ENTRIES // (n * n))
-        self.blocks = [slice(start, min(start + width, nt)) for start in range(0, nt, width)]
+        self.blocks = block_slices(nt, n * n)
         self.spreads = []
         xi1, xi2 = phase.mesh()
         for taus in self.blocks:
@@ -222,20 +222,3 @@ def spread(e_rad: np.ndarray, rotator: FrameRotator, block: int) -> np.ndarray:
     """Amplitude E_f(r(tau, xi)) on the slices of one block, from radial_profiles' e_rad; shape (m, n, n)."""
     n = rotator.phase.n_points
     return (rotator.spreads[block] @ np.ravel(e_rad[rotator.blocks[block]])).reshape(-1, n, n)
-
-
-def self_field(state: np.ndarray, rotator: FrameRotator) -> np.ndarray:
-    """Amplitude E_f(r(tau, xi)) of the self-consistent field on the (tau, xi) grid.
-
-    The radial profiles of the state's slices are spread back onto the xi
-    mesh block by block, into one array of shape (n_tau, n, n).  The field
-    itself is this amplitude times (-sin tau, cos tau).  A stepper stage
-    that needs the amplitude one block at a time calls radial_profiles and
-    spread itself.
-    """
-    e_rad = radial_profiles(state, rotator)
-    n = rotator.phase.n_points
-    out = np.empty((rotator.torus.n_tau, n, n))
-    for b, taus in enumerate(rotator.blocks):
-        out[taus] = spread(e_rad, rotator, b)
-    return out

@@ -29,17 +29,17 @@ the state (see xi_operator):
 
 with I - lam L one nodal matrix product.  In linear mode g is the applied
 amplitude alone; in poisson mode it includes the self-field of the stage's
-state, so P is applied with the field of F and Q with that of F*.  No stage
-keeps anything between calls.
+state, so P is applied with the field of F and Q with that of F*.  In both
+modes the stages, the CFL step and the corrected initial state take g from
+APSolver._amplitude, one tau slice at a time.  No stage keeps anything
+between calls.
 
 A two-scale state is n_tau times the physical grid, so a step is counted in
 whole states.  It holds its input F and one working array A, and every other
 temporary is a block: A = P F, then A <- R A (this is F*), A <- Q A, and
 A <- R(A + (I - lam L) F) in one pass per block of pencils.  The tau
 products act on each xi pencil alone and the stencils on each tau slice
-alone, so each writes over its own input; a poisson stage takes the
-self-field's radial profiles from the whole state first, then its amplitude
-one block of tau slices at a time.
+alone, so each writes over its own input.
 
 A micro-macro variant of the same pattern handles the longer diffusion time
 scale, where the tension is mean-free and the solution is split as
@@ -114,19 +114,17 @@ def xi_operator(
     return out
 
 
-def cfl_dt(g: np.ndarray, tau: np.ndarray, delta_xi: float) -> float:
+def cfl_dt(g, tau: np.ndarray, delta_xi: float) -> float:
     """Advective step dt = delta_xi / max |E| for E = g (-sin tau, cos tau), frozen at start-up.
 
-    g holds one slice per angle of tau.  |E| peaks at w |g| with
-    w = max(|sin tau|, |cos tau|), which rounds as the larger component does.
-    The maximum is taken slice by slice, as w_l * max(max g_l, -min g_l):
-    rounding is monotone for w_l >= 0, so this equals max(w |g|) to the bit,
-    and no array of g's size is made.
+    g is an array or any iterable of slices, one per angle of tau, in order.
+    |E| peaks at w |g| with w = max(|sin tau|, |cos tau|), which rounds as the
+    larger component does.  The maximum is taken slice by slice, as
+    w_l * max(max g_l, -min g_l): rounding is monotone for w_l >= 0, so this
+    equals max(w |g|) to the bit, and no array of g's size is made.
     """
-    g = np.asarray(g)
-    axes = tuple(range(1, g.ndim))
     w = np.maximum(np.abs(np.sin(tau)), np.abs(np.cos(tau)))
-    emax = (w * np.maximum(g.max(axis=axes), -g.min(axis=axes))).max()
+    emax = (w * np.array([np.maximum(s.max(), -s.min()) for s in g])).max()
     if emax == 0.0:
         raise RuntimeError("advecting field vanishes; provide delta_t explicitly")
     return delta_xi / emax
@@ -164,13 +162,23 @@ class APSolver:
         self.applied_amplitude = fields.applied_amplitude(tension, tau, x1, x2)
         self.rotator = fields.FrameRotator(phase, torus) if mode == "poisson" else None
 
-    def _field_amplitude(self, state: np.ndarray) -> np.ndarray:
-        """g of the field g (-sin tau, cos tau): applied plus, in poisson mode, the state's self-field."""
+    def _amplitude(self, f: np.ndarray):
+        """The amplitude g of the field g (-sin tau, cos tau) that f sees, one tau slice at a time.
+
+        In linear mode these are the slices of the shared applied amplitude.
+        In poisson mode the self-field of f is added: its radial profiles are
+        taken from all of f before the first slice is yielded, and the
+        amplitude is then formed one block of tau slices at a time.
+        """
         if self.mode == "linear":
-            return self.applied_amplitude
-        g = fields.self_field(state, self.rotator)
-        g += self.applied_amplitude
-        return g
+            yield from self.applied_amplitude
+            return
+        e_rad = fields.radial_profiles(f, self.rotator)
+        for b, taus in enumerate(self.rotator.blocks):
+            g = fields.spread(e_rad, self.rotator, b)
+            g += self.applied_amplitude[taus]
+            yield from g
+            del g  # else the block stays alive while the next one is spread
 
     def initial_state(self, init: str = "corrected") -> np.ndarray:
         """Well-prepared data: either f0 copied across tau or the pushed-back profile.
@@ -178,14 +186,13 @@ class APSolver:
         The corrected variant evaluates f0 at xi - eps * S(tau, xi) with
         S the tau-antiderivative (from zero) of the mean-free part of the
         initial field.  Being a composition with f0 it stays nonnegative.
-        The tau operators act on each xi pencil alone, so the shift and f0
-        are evaluated on blocks of about averaging.BLOCK_ENTRIES entries,
-        one field component at a time.  The field is that of the plain
-        state, which is passed on as a read-only broadcast view.  A poisson
-        field amplitude is the build's own array, so each block of the
-        result is written over the block of it that it was built from; the
-        linear one is the shared applied amplitude, so the result has its
-        own array.  So beyond the result only a few blocks are ever held.
+        The field is that of the plain state, which is passed on as a
+        read-only broadcast view; its amplitude fills the result array.  The
+        tau operators act on each xi pencil alone, so the shift and f0 are
+        evaluated on the blocks of pencils of averaging.block_slices, one
+        field component at a time, and each block of the result is written
+        over the block of the amplitude that it was built from.  So beyond
+        the result only a few blocks are ever held.
         """
         x1, x2 = self.phase.mesh()
         nt = self.torus.n_tau
@@ -194,20 +201,18 @@ class APSolver:
             return plain.copy()
         if init != "corrected":
             raise ValueError(f"unknown init {init!r}")
-        g = self._field_amplitude(plain).reshape(nt, -1)
+        out = np.fromiter(self._amplitude(plain), np.dtype((float, x1.shape)), count=nt)
+        g = out.reshape(nt, -1)
         tau = self.torus.nodes.reshape(-1, 1)
         directions = (-np.sin(tau), np.cos(tau))
         xs = (x1.reshape(-1), x2.reshape(-1))
-        out = g if self.mode == "poisson" else np.empty(g.shape)
-        width = max(1, averaging.BLOCK_ENTRIES // nt)
-        for start in range(0, out.shape[1], width):
-            cols = slice(start, start + width)
+        for cols in averaging.block_slices(g.shape[1], nt):
             shifted = [
                 x[cols] - self.epsilon * averaging.antiderivative_from_zero(averaging.fluctuation(d * g[:, cols]))
                 for x, d in zip(xs, directions)
             ]
-            out[:, cols] = initial_distribution(*shifted, **self.f0_params)
-        return out.reshape((nt,) + x1.shape)
+            g[:, cols] = initial_distribution(*shifted, **self.f0_params)
+        return out
 
     def advance(self, state: np.ndarray, dt: float) -> np.ndarray:
         """One step: the predictor F* = R(P F), then the corrector F+ = R(Q F* + (I - lam L) F).
@@ -224,28 +229,15 @@ class APSolver:
     def _stage(self, stage: int, f: np.ndarray, dt: float, out: np.ndarray) -> np.ndarray:
         """The xi part of the predictor (stage 0, P f) or the corrector (stage 1, Q f), for the field of f.
 
-        The result is written into out, which may be f.  A linear stage
-        applies the shared applied amplitude, a poisson stage its amplitude
-        as _amplitude_slices forms it.
+        The result is written into out, which may be f: _amplitude reads
+        all of f before it yields the first slice.
         """
         c_avg, c_flux = ((1.0, -0.5 * dt), (0.0, -dt))[stage]
-        g = self.applied_amplitude if self.mode == "linear" else self._amplitude_slices(f)
+        g = self._amplitude(f)
         return xi_operator(g, self.torus.nodes, self.phase.delta_xi, c_avg, c_flux, f, out)
 
-    def _amplitude_slices(self, f: np.ndarray):
-        """The poisson amplitude of f, applied plus self-field, slice by slice.
-
-        The radial profiles are taken from all of f before the first slice is
-        yielded; the amplitude is then formed one block of tau slices at a time.
-        """
-        e_rad = fields.radial_profiles(f, self.rotator)
-        for b, taus in enumerate(self.rotator.blocks):
-            g = fields.spread(e_rad, self.rotator, b)
-            g += self.applied_amplitude[taus]
-            yield from g
-
     def suggest_dt(self, state: np.ndarray) -> float:
-        return cfl_dt(self._field_amplitude(state), self.torus.nodes, self.phase.delta_xi)
+        return cfl_dt(self._amplitude(state), self.torus.nodes, self.phase.delta_xi)
 
 
 def _largest_mean(tension: fields.Tension, nodes: np.ndarray) -> float:

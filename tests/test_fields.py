@@ -19,8 +19,9 @@ from vlasov_ap.fields import (
     density,
     get_tension,
     radial_field,
+    radial_profiles,
     sample_plane,
-    self_field,
+    spread,
 )
 from vlasov_ap.stepper import APSolver
 
@@ -30,6 +31,18 @@ RHO_AXIS = 3.9999999383309683  # 4 erf(4), density of the beam profile at r = 0
 def field_pair(g, tau):
     """The field g (-sin tau, cos tau) of an amplitude g, as its two components."""
     return -np.sin(tau) * g, np.cos(tau) * g
+
+
+def field_amplitude(state, rotator=None, applied=0.0):
+    """The amplitude of the field a whole state sees, built from the public fields functions.
+
+    applied (an applied_amplitude), plus, given a rotator, the state's
+    self-field: its radial_profiles spread block by block and stacked.
+    """
+    if rotator is None:
+        return applied
+    e_rad = radial_profiles(state, rotator)
+    return applied + np.concatenate([spread(e_rad, rotator, b) for b in range(len(rotator.blocks))])
 
 
 def applied_pair(tension, tau, xi1, xi2):
@@ -212,8 +225,8 @@ def _self_field_loops(state, phase, torus):
 
 
 def self_field_pair(state, rotator):
-    """The self-field components: (-sin tau, cos tau) times the amplitude self_field returns."""
-    return field_pair(self_field(state, rotator), rotator.torus.nodes[:, None, None])
+    """The self-field components: (-sin tau, cos tau) times the self-field amplitude."""
+    return field_pair(field_amplitude(state, rotator), rotator.torus.nodes[:, None, None])
 
 
 def test_self_field_zero_state():
@@ -247,7 +260,7 @@ def test_self_field_against_loop_oracle():
 
 
 def _deposited_density(state, rot, monkeypatch):
-    """The density rho(tau_l, r) that self_field hands to the radial solve."""
+    """The density rho(tau_l, r) that radial_profiles hands to the radial solve."""
     seen = []
 
     def spy(rho, grid):
@@ -257,7 +270,7 @@ def _deposited_density(state, rot, monkeypatch):
     monkeypatch.setattr(fields, "radial_field", spy)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # random states are not even in r
-        self_field(state, rot)
+        field_amplitude(state, rot)
     return seen[0]
 
 
@@ -328,13 +341,15 @@ def _rotator_stacks(phase, torus):
     return spread_idx.ravel(), spread_w.ravel(), ghosts
 
 
-# one block of tau slices, and (at 96^2, 7 slices a block) two full blocks and a partial one
-@pytest.mark.parametrize("n, n_tau", [(16, 8), (32, 16), (96, 16)])
+# one block of tau slices, (at 96^2, 7 slices a block) two full blocks and a
+# partial one, and (at 512^2, where one slice holds more than BLOCK_ENTRIES)
+# one slice a block
+@pytest.mark.parametrize("n, n_tau", [(16, 8), (32, 16), (96, 16), (512, 4)])
 def test_frame_rotator_matches_the_stacked_construction_entry_for_entry(n, n_tau):
     # at xi_max 3.5 delta_xi is not a power of two, so rounding in the weights shows
     phase, torus = PhaseGrid(n, 3.5), TorusGrid(n_tau)
     rot = FrameRotator(phase, torus)
-    width = averaging.BLOCK_ENTRIES // (n * n)
+    width = max(1, averaging.BLOCK_ENTRIES // (n * n))
     starts = range(0, n_tau, width)
     assert [(b.start, b.stop) for b in rot.blocks] == [(s, min(s + width, n_tau)) for s in starts]
     mat = whole_spread(rot)

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from test_fields import field_amplitude
 
 from vlasov_ap import fields, harness, reference, stepper
 from vlasov_ap.domain import PhaseGrid, initial_distribution
@@ -334,7 +335,12 @@ def test_snapshot_requests_on_one_step_share_a_file(tmp_path):
 def test_poisson_auto_step_is_the_cfl_step_frozen_at_t0(tmp_path, monkeypatch):
     amplitudes = []
     cfl_dt = stepper.cfl_dt
-    monkeypatch.setattr(stepper, "cfl_dt", lambda g, *a: amplitudes.append(g.copy()) or cfl_dt(g, *a))
+
+    def spy(g, *args):
+        amplitudes.append(np.array(list(g)))
+        return cfl_dt(amplitudes[-1], *args)
+
+    monkeypatch.setattr(stepper, "cfl_dt", spy)
     cfg = RunConfig(epsilon=0.5, t_final=0.1, n_points=32, n_tau=16, mode="poisson", output_dir=str(tmp_path))
     run(cfg)
     solver = stepper.APSolver(cfg.phase(), cfg.torus(), get_tension(cfg.tension), cfg.epsilon, "poisson",
@@ -342,7 +348,8 @@ def test_poisson_auto_step_is_the_cfl_step_frozen_at_t0(tmp_path, monkeypatch):
     # one call, on the field amplitude of the initial state; the self-field
     # evolves, but later steps keep this dt
     assert len(amplitudes) == 1
-    assert np.array_equal(amplitudes[0], solver._field_amplitude(solver.initial_state("corrected")))
+    want = field_amplitude(solver.initial_state("corrected"), solver.rotator, solver.applied_amplitude)
+    assert np.array_equal(amplitudes[0], want)
     meta = dict(line.split(" = ", 1) for line in (tmp_path / "meta.txt").read_text().splitlines())
     n_steps, dt = harness._resolve_steps(cfg, cfl_dt(amplitudes[0], cfg.torus().nodes, cfg.phase().delta_xi))
     assert int(meta["n_steps"]) == n_steps > 1
