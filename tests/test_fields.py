@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.sparse import csr_matrix, vstack
+from scipy.sparse import csr_matrix
 
 from vlasov_ap import averaging, fields
 from vlasov_ap.averaging import project_mean
@@ -41,8 +41,12 @@ def field_amplitude(state, rotator=None, applied=0.0):
     """
     if rotator is None:
         return applied
-    e_rad = radial_profiles(state, rotator)
-    return applied + np.concatenate([spread(e_rad, rotator, b) for b in range(len(rotator.blocks))])
+    return applied + whole_spread(radial_profiles(state, rotator), rotator)
+
+
+def whole_spread(e_rad, rotator):
+    """The spread of radial profiles e_rad (n_tau, n) onto a whole state, block by block from spread."""
+    return np.concatenate([spread(e_rad, rotator, b) for b in range(len(rotator.blocks))])
 
 
 def applied_pair(tension, tau, xi1, xi2):
@@ -239,24 +243,27 @@ def test_self_field_zero_state():
 
 
 def test_self_field_against_loop_oracle():
-    phase = PhaseGrid(16)
-    torus = TorusGrid(8)
-    rot = FrameRotator(phase, torus)
     rng = np.random.default_rng(11)
-    x1, x2 = phase.mesh()
-    bump = np.exp(-2.0 * (x1 ** 2 + x2 ** 2))
-    # the bump is 1e-14 at the rim; the rim load puts O(1) values in the
-    # outermost cells, where rotated nodes ramp to the zero ghosts
-    rim = np.zeros((16, 16), dtype=bool)
-    rim[[0, -1], :] = rim[:, [0, -1]] = True
-    for state in (bump[None] * (1.0 + 0.3 * rng.random((8, 1, 1))),
-                  rim[None] * rng.uniform(0.5, 1.5, size=(8, 16, 16))):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # the rim load is not even in r
-            got1, got2 = self_field_pair(state, rot)
-        want1, want2 = _self_field_loops(state, phase, torus)
-        np.testing.assert_allclose(got1, want1, atol=1e-13)
-        np.testing.assert_allclose(got2, want2, atol=1e-13)
+    # at 32^2 x 16 each half of the torus is a block of 8 slices
+    for n, n_tau in ((16, 8), (32, 16)):
+        phase = PhaseGrid(n)
+        torus = TorusGrid(n_tau)
+        rot = FrameRotator(phase, torus)
+        x1, x2 = phase.mesh()
+        bump = np.exp(-2.0 * (x1 ** 2 + x2 ** 2))
+        # the bump is 1e-14 at the rim; the rim load puts O(1) values in the
+        # outermost cells, where rotated nodes ramp to the zero ghosts and the
+        # mirrored slices meet the r grid's extra node r_n = xi_max
+        rim = np.zeros((n, n), dtype=bool)
+        rim[[0, -1], :] = rim[:, [0, -1]] = True
+        for state in (bump[None] * (1.0 + 0.3 * rng.random((n_tau, 1, 1))),
+                      rim[None] * rng.uniform(0.5, 1.5, size=(n_tau, n, n))):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # the rim load is not even in r
+                got1, got2 = self_field_pair(state, rot)
+            want1, want2 = _self_field_loops(state, phase, torus)
+            np.testing.assert_allclose(got1, want1, atol=1e-13)
+            np.testing.assert_allclose(got2, want2, atol=1e-13)
 
 
 def _deposited_density(state, rot, monkeypatch):
@@ -295,30 +302,18 @@ def test_deposit_is_the_adjoint_of_the_spread(monkeypatch):
     e = rng.random((8, 16))
     f = rng.random((8, 16, 16))
     rho = _deposited_density(f, rot, monkeypatch)
-    lhs = np.dot(whole_spread(rot) @ e.ravel(), f.ravel()) * phase.delta_xi
+    lhs = np.dot(whole_spread(e, rot).ravel(), f.ravel()) * phase.delta_xi
     np.testing.assert_allclose(lhs, np.dot(e.ravel(), rho.ravel()), rtol=1e-13)
 
 
-def whole_spread(rot):
-    """The rotator's per-block spreads as the one block-diagonal spread of a whole state.
-
-    Each block's columns are shifted to its first slice and the blocks are
-    stacked as CSR, which keeps every stored entry (block_diag would drop
-    the explicit zero ghosts).
-    """
-    n, cols = rot.phase.n_points, rot.torus.n_tau * rot.phase.n_points
-    shifted = [csr_matrix((m.data, m.indices + taus.start * n, m.indptr), (m.shape[0], cols))
-               for taus, m in zip(rot.blocks, rot.spreads)]
-    return vstack(shifted, format="csr")
-
-
-def _rotator_stacks(phase, torus):
+def _rotator_stacks(phase, taus, n_nodes):
     """The spread's entries built one tau slice at a time from (..., 2) corner stacks.
 
-    Its (index, weight) arrays, row-major as the CSR matrix stores them, and
-    the number of ghost corners met.
+    For the r grid of n_nodes nodes -xi_max + k delta_xi: the bracketing
+    node indices k and weights of every row, shaped (len(taus), n, n, 2),
+    and the number of ghost corners met.
     """
-    n, nt = phase.n_points, torus.n_tau
+    n = phase.n_points
 
     def weights(x):
         g = (x + phase.xi_max) / phase.delta_xi
@@ -326,39 +321,73 @@ def _rotator_stacks(phase, torus):
         frac = g - k0
         k = k0[..., None] + np.array([0.0, 1.0])
         w = np.stack([1.0 - frac, frac], axis=-1)
-        inside = (k >= 0) & (k < n)
+        inside = (k >= 0) & (k < n_nodes)
         return np.where(inside, k, 0).astype(np.int32), np.where(inside, w, 0.0), (~inside).sum()
 
-    spread_idx = np.empty((nt, n, n, 2), dtype=np.int32)
-    spread_w = np.empty((nt, n, n, 2))
+    spread_idx = np.empty((len(taus), n, n, 2), dtype=np.int32)
+    spread_w = np.empty((len(taus), n, n, 2))
     ghosts = 0
     a, b = phase.mesh()
-    for l, tau in enumerate(torus.nodes):
-        k, w, g = weights(rotate_to_rv(tau, a, b)[0])
-        spread_idx[l] = l * n + k
-        spread_w[l] = w
+    for l, tau in enumerate(taus):
+        spread_idx[l], spread_w[l], g = weights(rotate_to_rv(tau, a, b)[0])
         ghosts += g
-    return spread_idx.ravel(), spread_w.ravel(), ghosts
+    return spread_idx, spread_w, ghosts
 
 
-# one block of tau slices, (at 96^2, 7 slices a block) two full blocks and a
-# partial one, and (at 512^2, where one slice holds more than BLOCK_ENTRIES)
-# one slice a block
+def _rel_linf_per_slice(got, want):
+    axes = tuple(range(1, want.ndim))
+    return np.abs(got - want).max(axis=axes) / np.abs(want).max(axis=axes)
+
+
+# one block of tau slices per half of the torus, (at 96^2, 7 slices a block)
+# a full and a partial block per half, and (at 512^2, where one slice holds
+# more than BLOCK_ENTRIES) one slice a block
 @pytest.mark.parametrize("n, n_tau", [(16, 8), (32, 16), (96, 16), (512, 4)])
-def test_frame_rotator_matches_the_stacked_construction_entry_for_entry(n, n_tau):
+def test_frame_rotator_matches_the_stacked_construction_entry_for_entry(n, n_tau, monkeypatch):
     # at xi_max 3.5 delta_xi is not a power of two, so rounding in the weights shows
     phase, torus = PhaseGrid(n, 3.5), TorusGrid(n_tau)
     rot = FrameRotator(phase, torus)
-    width = max(1, averaging.BLOCK_ENTRIES // (n * n))
-    starts = range(0, n_tau, width)
-    assert [(b.start, b.stop) for b in rot.blocks] == [(s, min(s + width, n_tau)) for s in starts]
-    mat = whole_spread(rot)
-    idx, w, ghosts = _rotator_stacks(phase, torus)
-    assert ghosts > 0  # rotated nodes leave the box, so zero ghosts are stored
-    assert np.array_equal(mat.data, w)
-    assert np.array_equal(mat.indices, idx)
-    assert np.array_equal(mat.indptr, np.arange(0, idx.size + 1, 2))
-    assert mat.indices.dtype == mat.indptr.dtype == np.int32
+    half = n_tau // 2
+    width = min(half, max(1, averaging.BLOCK_ENTRIES // (n * n)))
+    stored = [(s, min(s + width, half)) for s in range(0, half, width)]
+    assert [(b.start, b.stop) for b in rot.blocks] == stored + [(a + half, b + half) for a, b in stored]
+
+    # the stored half, on the r grid of n + 1 nodes, with columns local to each block
+    idx, w, ghosts = _rotator_stacks(phase, torus.nodes[:half], n + 1)
+    # rotated nodes leave the box, so zero ghosts are stored, but for tau = 0
+    # and pi/2, the stored half at n_tau = 4, whose radii stay on the n + 1 nodes
+    assert (ghosts > 0) == (n_tau > 4)
+    block_start = np.concatenate([np.full(b - a, a) for a, b in stored])
+    assert np.array_equal(rot.weights, w)
+    assert np.array_equal(rot.indices, idx + ((np.arange(half) - block_start) * (n + 1))[:, None, None, None])
+    assert np.array_equal(rot.indptr, np.arange(0, 2 * width * n * n + 1, 2))
+    assert rot.indices.dtype == rot.indptr.dtype == np.int32
+
+    # every slice, the mirrored half too, against the direct map of all slices on the n xi nodes
+    idx, w, _ = _rotator_stacks(phase, torus.nodes, n)
+    idx += (np.arange(n_tau) * n)[:, None, None, None]
+    direct = csr_matrix((w.ravel(), idx.ravel(), np.arange(0, w.size + 1, 2)), shape=(n_tau * n * n, n_tau * n))
+    # a mirrored slice's weights differ from the direct ones by the rounding of
+    # r / delta_xi, which grows with n: measured up to 5.6e-14 (spread) and
+    # 1.8e-14 (density) at 512^2
+    rng = np.random.default_rng(n)
+    e = rng.random((n_tau, n))
+    f = rng.random((n_tau, n, n))
+    want = (direct @ e.ravel()).reshape(n_tau, n, n)
+    assert _rel_linf_per_slice(whole_spread(e, rot), want).max() <= 1e-13
+    rho = phase.delta_xi * (direct.T @ f.ravel()).reshape(n_tau, n)
+    assert _rel_linf_per_slice(_deposited_density(f, rot, monkeypatch), rho).max() <= 1e-13
+
+
+def test_frame_rotator_holds_one_half_of_the_map_and_views_of_it():
+    # 28 MiB at 128^2 x 64 for sixteen blocks of their own; each matrix, the
+    # CSC deposits too, is a view of the stored arrays and adds nothing
+    rot = FrameRotator(PhaseGrid(128), TorusGrid(64))
+    stored = (rot.weights, rot.indices, rot.indptr)
+    assert sum(a.nbytes for a in stored) <= 13 * 2 ** 20
+    for matrix in rot.spreads + rot.deposits:
+        for a, b in zip((matrix.data, matrix.indices, matrix.indptr), stored):
+            assert np.shares_memory(a, b)
 
 
 def test_frame_rotator_rejects_int32_overflow():
