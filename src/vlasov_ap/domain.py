@@ -46,9 +46,18 @@ class PhaseGrid:
 
 @dataclass(frozen=True)
 class TorusGrid:
-    """Uniform grid tau_l = 2*pi*l/n_tau on the torus; n_tau must be even."""
+    """Uniform grid tau_l = 2*pi*l/(fold*n_tau), l < n_tau, on [0, 2*pi/fold); n_tau must be even.
+
+    fold = 1 is the whole torus.  A state that repeats under
+    tau -> tau + 2*pi/fold is carried on the first 1/fold of the torus
+    alone: in sigma = fold*tau those nodes are the uniform grid of n_tau
+    nodes on [0, 2*pi), which the averaging operators work on, so
+    d/dtau = fold d/dsigma, an integral over tau is 1/fold times one over
+    sigma, and a value at tau is the one at sigma = fold*tau.
+    """
 
     n_tau: int = 64
+    fold: int = 1
 
     def __post_init__(self):
         if self.n_tau < 4 or self.n_tau % 2:
@@ -56,7 +65,7 @@ class TorusGrid:
 
     @property
     def delta_tau(self) -> float:
-        return 2.0 * np.pi / self.n_tau
+        return 2.0 * np.pi / (self.fold * self.n_tau)
 
     @property
     def nodes(self) -> np.ndarray:

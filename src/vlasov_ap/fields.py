@@ -177,8 +177,10 @@ class FrameRotator:
         self.phase = phase
         self.torus = torus
         n, nt = phase.n_points, torus.n_tau
+        # the stored half holds nt * n * n entries of 12 bytes (a float64 weight, an int32 index)
         if 2 * nt * n * n >= 2 ** 31:
-            raise ValueError("grid too large for int32 operator indices")
+            gib = 12 * nt * n * n / 2 ** 30
+            raise ValueError(f"grid too large for the self-field map: it would allocate {gib:.0f} GiB")
 
         half = block_slices(nt // 2, n * n)
         self.blocks = half + [slice(taus.start + nt // 2, taus.stop + nt // 2) for taus in half]

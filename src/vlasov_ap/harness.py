@@ -11,7 +11,12 @@ with one of five schemes:
 
 All five go through the one loop in ``run``.  The ``ap`` and ``diffusion``
 states are two-scale; ``_two_scale_readout`` reads either on the diagonal,
-at tau = t/eps and t/eps^2 respectively.  Outputs land in
+at tau = t/eps and t/eps^2 respectively.  A linear run whose tension
+repeats after tau = pi has a field and well-prepared data that repeat
+too, so ``_two_scale_torus`` gives it the half torus [0, pi) of n_tau/2
+nodes (TorusGrid fold 2), which halves its states and its work; poisson
+runs and n_tau = 4 keep the whole torus, and meta.txt shows the
+configured n_tau either way.  Outputs land in
 ``output_dir``: ``rms.csv`` (one DiagnosticsRecord at step 0, every
 ``rms_every``-th step and the last step), ``snapshot_<t>.csv`` (xi1, xi2,
 f_tilde, f_rv) and ``meta.txt`` with every resolved parameter.  A snapshot
@@ -25,11 +30,12 @@ Parameter studies (``convergence_study``, ``table_study``) compare runs
 against a reference.  ``convergence_study`` uses ``reference_filtered``: the
 exact linear solution in linear mode, whatever the tension, and a fine
 splitting run in poisson mode.  The error table always uses the fine
-splitting run.  A splitting reference is its cell run quietly by the
-``splitting`` scheme of this loop on the fine grid, with the inputs it does
-not inherit (n_tau, init, delta_t, output_dir, reference_n) reset to their
-defaults.  The table's references can be cached on disk, keyed by that run's
-config plus REFERENCE_CACHE_VERSION; an entry that fails to load is recomputed.
+splitting run.  A splitting reference is its cell run by the
+``splitting`` scheme on the fine grid in one span, observed at t_final only
+(``_final_field``), with the inputs it does not inherit (n_tau, init,
+delta_t, output_dir, reference_n) reset to their defaults.  The table's
+references can be cached on disk, keyed by that run's config plus
+REFERENCE_CACHE_VERSION; an entry that fails to load is recomputed.
 ``selftest`` runs a few small end-to-end checks against the same references.
 """
 from __future__ import annotations
@@ -39,6 +45,7 @@ import hashlib
 import itertools
 import math
 import os
+import tempfile
 import typing
 import warnings
 from dataclasses import dataclass, field
@@ -290,25 +297,47 @@ def _stepwise(step):
     return advance
 
 
-def _two_scale_readout(state: np.ndarray, theta: float, grid: PhaseGrid, snapshot: bool):
+def _two_scale_readout(state: np.ndarray, theta: float, grid: PhaseGrid, snapshot: bool, fold: int = 1):
     """f~ and, for a snapshot, f_rv of a two-scale state read on the diagonal tau = theta.
 
-    f~ is the trigonometric evaluation of the state at theta mod 2 pi; the
-    lab-frame f_rv samples f~ bilinearly at the rotated coordinates, and is
-    None when snapshot is false.
+    The state is carried on a torus of the given fold (see TorusGrid), so f~
+    is the trigonometric evaluation of the state at fold * theta mod 2 pi.
+    The lab frame turns with tau itself: f_rv samples f~ bilinearly at the
+    coordinates rotated by theta, and is None when snapshot is false.
     """
     theta %= 2.0 * np.pi
-    f_tilde = averaging.eval_at_tau(state, theta)
+    f_tilde = averaging.eval_at_tau(state, fold * theta % (2.0 * np.pi))
     if not snapshot:
         return f_tilde, None
     r, v = grid.mesh()
     return f_tilde, fields.sample_plane(f_tilde, grid, *rotate_to_xi(theta, r, v), order=1)
 
 
+def _two_scale_torus(config: RunConfig) -> TorusGrid:
+    """The torus an ap or diffusion run steps on: [0, pi) when its field repeats after pi.
+
+    In linear mode the field a(tau) (xi1 cos tau + xi2 sin tau) (-sin tau,
+    cos tau) repeats under tau -> tau + pi wherever the tension does, and so
+    do the well-prepared data built from it; the tension is compared on the
+    two halves of the nodes, to rounding.  Poisson mode keeps the whole
+    torus: the self-field repeats only if rho is exactly even in r, which
+    the xi grid's unpaired node 0 breaks.  So does n_tau = 4, whose half
+    would be too coarse a torus.
+    """
+    torus = config.torus()
+    half = config.n_tau // 2
+    if config.mode != "linear" or half < 4:
+        return torus
+    a = get_tension(config.tension)(torus.nodes)
+    if np.abs(a[half:] - a[:half]).max() > 1e-12 * np.abs(a).max():
+        return torus
+    return TorusGrid(half, fold=2)
+
+
 def _ap_scheme(config: RunConfig):
     solver = stepper.APSolver(
         config.phase(),
-        config.torus(),
+        _two_scale_torus(config),
         get_tension(config.tension),
         config.epsilon,
         mode=config.mode,
@@ -318,7 +347,7 @@ def _ap_scheme(config: RunConfig):
     dt_hint = config.delta_t or solver.suggest_dt(state)
 
     def observe(state, t, snapshot):
-        f_tilde, f_rv = _two_scale_readout(state, t / config.epsilon, solver.phase, snapshot)
+        f_tilde, f_rv = _two_scale_readout(state, t / config.epsilon, solver.phase, snapshot, solver.torus.fold)
         return f_tilde, f_rv, total_mass(averaging.project_mean(state), solver.phase)
 
     return state, dt_hint, _stepwise(solver.advance), observe
@@ -327,9 +356,10 @@ def _ap_scheme(config: RunConfig):
 def _diffusion_scheme(config: RunConfig):
     if config.delta_t is None:
         raise ValueError("scheme=diffusion needs an explicit delta_t")
+    torus = _two_scale_torus(config)
     solver = stepper.DiffusionSolver(
         config.phase(),
-        config.torus(),
+        torus,
         get_tension(config.tension),
         config.epsilon,
         f0_params=config.f0_params(),
@@ -337,7 +367,7 @@ def _diffusion_scheme(config: RunConfig):
 
     def observe(gh, t, snapshot):
         g, h = gh
-        f_tilde, f_rv = _two_scale_readout(g[None] + h, t / config.epsilon ** 2, solver.phase, snapshot)
+        f_tilde, f_rv = _two_scale_readout(g[None] + h, t / config.epsilon ** 2, solver.phase, snapshot, torus.fold)
         return f_tilde, f_rv, total_mass(g + averaging.project_mean(h), solver.phase)
 
     advance = _stepwise(lambda gh, dt: solver.step(*gh, dt))
@@ -529,8 +559,22 @@ def _quiet(config: RunConfig, **changes) -> RunConfig:
     return config.replace(snapshot_times=(), rms_every=1 << 30, **changes)
 
 
+def _final_field(config: RunConfig) -> np.ndarray:
+    """f~ at t_final of the config's run, stepped in one span and observed once, at its end.
+
+    A quiet run observes step 0 too, which costs a splitting run a second map
+    to the xi frame; this takes the same steps and keeps no diagnostics.
+    """
+    state, dt_hint, advance, observe = _SCHEME_SETUPS[config.scheme](config)
+    n_steps, dt = _resolve_steps(config, dt_hint)
+    if n_steps:
+        held, state = [state], None
+        state = advance(held, 0, n_steps, dt)
+    return observe(state, n_steps * dt, False)[0]
+
+
 def _splitting_reference(config: RunConfig, cache_dir=None) -> np.ndarray:
-    """The config's cell run quietly by splitting on the fine grid, restricted to its grid.
+    """The config's cell run by splitting on the fine grid to t_final, restricted to its grid.
 
     The reference inherits every input but those in _REFERENCE_RESETS, which
     go back to their defaults, so its cache key, the sha256 of its config's
@@ -549,7 +593,7 @@ def _splitting_reference(config: RunConfig, cache_dir=None) -> np.ndarray:
             except (OSError, ValueError, EOFError):
                 pass  # a damaged entry is recomputed and replaced below
     stride = ref.n_points // config.n_points
-    coarse = run(ref, write=False).f_tilde[::stride, ::stride]
+    coarse = _final_field(ref)[::stride, ::stride]
     if path is not None:
         _replace_file(path, lambda fh: np.save(fh, coarse))
     return coarse
@@ -636,6 +680,20 @@ def _error_vs_exact(config: RunConfig) -> float:
     return rel_error(run(config, write=False).f_tilde, reference_filtered(config), "l2")
 
 
+def _lab_frame_error_vs_exact(config: RunConfig) -> float:
+    """Relative L2 error of the f_rv column of a snapshot at t_final, against the exact lab-frame field."""
+    with tempfile.TemporaryDirectory() as out:
+        run(config.replace(output_dir=out, snapshot_times=(config.t_final,)), write=False)
+        (path,) = Path(out).glob("snapshot_*.csv")
+        f_rv = np.loadtxt(path, delimiter=",", skiprows=1, usecols=3)
+    r, v = config.phase().mesh()
+    lab = rotate_to_xi(config.t_final / config.epsilon, r, v)
+    exact = reference.model_solution(
+        "exact", config.t_final, config.epsilon, get_tension(config.tension), *lab, config.f0_params()
+    )
+    return rel_error(f_rv.reshape(r.shape), exact, "l2")
+
+
 def _mass_drift(config: RunConfig) -> float:
     masses = np.array([rec.mass for rec in run(config, write=False).records])
     return float(np.abs(masses - masses[0]).max() / abs(masses[0]))
@@ -651,16 +709,22 @@ def selftest(verbose: bool = True) -> int:
     """Run end-to-end checks that a broken install or operator fails.
 
     Small runs at eps = 0.1 and t = 0.5, about 0.4 s in all: a linear ap run
-    (64^2 x 16) and a splitting run (64^2) against the exact linear solution in
-    relative L2, the relative mass drift of a poisson ap run (32^2 x 16), and
-    the config text round trip.  A working build measures 9.4e-3, 5.3e-4 and
-    4.9e-10.  The linear ap band is +-10 %, as a flux a few per cent too strong
-    lowers that error; the other bounds are twice the values.  Returns the
-    number of failed checks.
+    (64^2 x 16, stepped on half the torus) and a splitting run (64^2) against
+    the exact linear solution in relative L2, the f_rv column of the linear
+    ap run's snapshot against the exact solution in the lab frame, the
+    relative mass drift of a poisson ap run (32^2 x 16), and the config text
+    round trip.  A working build measures 9.4e-3, 1.26e-2, 5.3e-4 and
+    4.9e-10.  The linear ap band is +-10 %, as a flux a few per cent too
+    strong lowers that error.  The lab frame band reaches 5 % below its
+    value, which an antiderivative of the half torus left unscaled undercuts
+    (1.19e-2), and a lab frame turned by 2 tau instead of tau reads 0.70.
+    The other bounds are twice the values.  Returns the number of failed
+    checks.
     """
     base = RunConfig(epsilon=0.1, t_final=0.5, n_points=64, n_tau=16)
     checks = [
         ("linear ap vs exact", _error_vs_exact, base, (8.4e-3, 1.03e-2)),
+        ("linear ap lab frame vs exact", _lab_frame_error_vs_exact, base, (1.2e-2, 2.5e-2)),
         ("splitting vs exact", _error_vs_exact, base.replace(scheme="splitting"), (0, 1e-3)),
         ("poisson ap mass drift", _mass_drift, base.replace(mode="poisson", n_points=32), (0, 1e-9)),
         ("config round trip", _round_trip_changes, base.replace(delta_t=0.02, snapshot_times=(0.25, 0.5)), (0, 0)),

@@ -34,6 +34,14 @@ modes the stages, the CFL step and the corrected initial state take g from
 APSolver._amplitude, one tau slice at a time.  No stage keeps anything
 between calls.
 
+The solvers step whatever torus they are given.  On a folded one
+(TorusGrid fold > 1, a state that repeats after tau = 2*pi/fold) the tau
+operators act in sigma = fold*tau, so L = fold d/dsigma: every lam is
+scaled by fold and the antiderivative of the corrected initial state
+divided by it, while the xi stencils and the field read the true angles
+tau_l.  The run loop gives linear runs whose tension repeats after pi the
+half torus, fold 2; the self-field keeps poisson mode on the whole torus.
+
 A two-scale state is n_tau times the physical grid, so a step is counted in
 whole states.  It holds its input F and one working array A, and every other
 temporary is a block: A = P F, then A <- R A (this is F*), A <- Q A, and
@@ -136,7 +144,10 @@ class APSolver:
     mode "linear" uses the applied lattice field only; mode "poisson" adds the
     self-consistent field of each stage's state.  The solver holds the field
     as its amplitude g; the applied part does not depend on t, so it is
-    sampled once.
+    sampled once.  Any torus carries the same scheme: on a folded one the
+    state holds its first n_tau nodes of the period 2*pi/fold, and the tau
+    operators take lam * fold.  Poisson mode needs the whole torus (fold 1),
+    as FrameRotator pairs each slice with the one pi away.
     """
 
     def __init__(
@@ -152,6 +163,8 @@ class APSolver:
             raise ValueError(f"unknown mode {mode!r}")
         if epsilon <= 0:
             raise ValueError("epsilon must be positive")
+        if mode == "poisson" and torus.fold != 1:
+            raise ValueError("mode poisson steps on the whole torus (fold = 1)")
         self.phase = phase
         self.torus = torus
         self.epsilon = epsilon
@@ -206,9 +219,10 @@ class APSolver:
         tau = self.torus.nodes.reshape(-1, 1)
         directions = (-np.sin(tau), np.cos(tau))
         xs = (x1.reshape(-1), x2.reshape(-1))
+        eps = self.epsilon / self.torus.fold  # the antiderivative is taken in fold * tau
         for cols in averaging.block_slices(g.shape[1], nt):
             shifted = [
-                x[cols] - self.epsilon * averaging.antiderivative_from_zero(averaging.fluctuation(d * g[:, cols]))
+                x[cols] - eps * averaging.antiderivative_from_zero(averaging.fluctuation(d * g[:, cols]))
                 for x, d in zip(xs, directions)
             ]
             g[:, cols] = initial_distribution(*shifted, **self.f0_params)
@@ -220,7 +234,7 @@ class APSolver:
         Beyond state, which is left as it is, only the returned array and a
         few blocks are held: each stage and product writes over the array.
         """
-        lam = dt / (2.0 * self.epsilon)
+        lam = self.torus.fold * dt / (2.0 * self.epsilon)
         out = self._stage(0, state, dt, np.empty(state.shape))
         averaging.solve_implicit_tau(out, lam, out=out)
         self._stage(1, out, dt, out)
@@ -259,7 +273,9 @@ class DiffusionSolver:
     macro part G = Pi F then moves only through the averaged product of
     fluctuations.  States are carried as the pair (G, h); the initial data
     are those of a linear-mode APSolver on the same grids, and the run loop
-    reads G + h out at tau = t/eps^2.  Its xi parts apply xi_operator to each
+    reads G + h out at tau = t/eps^2.  On a folded torus the resolvent and
+    the explicit half step take lam * fold, as in APSolver; the means are
+    those of the whole period either way.  Its xi parts apply xi_operator to each
     argument, with that solver's applied amplitude, so it keeps no operator.
     """
 
@@ -279,7 +295,7 @@ class DiffusionSolver:
                 cause = "the torus is too coarse for the tension"
             raise ValueError(
                 f"tension {tension.name!r} leaves a mean field of relative size {m:.3e} "
-                f"on n_tau = {torus.n_tau} nodes: {cause}"
+                f"on n_tau = {torus.fold * torus.n_tau} nodes: {cause}"
             )
         self.phase = phase
         self.epsilon = epsilon
@@ -308,7 +324,7 @@ class DiffusionSolver:
     def step(self, g: np.ndarray, h: np.ndarray, dt: float):
         """One micro-macro step; G is advanced explicitly, h through the resolvent."""
         eps = self.epsilon
-        lam = dt / (2.0 * eps ** 2)
+        lam = self.transport.torus.fold * dt / (2.0 * eps ** 2)
         c = dt / (2.0 * eps)
 
         g_half = self._avg(g) - c * averaging.project_mean(self._phi(h))

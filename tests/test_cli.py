@@ -221,7 +221,7 @@ def test_selftest_passes():
 
 def test_selftest_exits_1_under_a_broken_operator(monkeypatch, capsys):
     # a resolvent that returns its input, in the predictor and in the
-    # corrector's one pass alike, fails two checks on their bands, and the
+    # corrector's one pass alike, fails three checks on their bands, and the
     # status is still 1
     solve, broken = averaging.solve_implicit_tau, []
 
@@ -239,9 +239,9 @@ def test_selftest_exits_1_under_a_broken_operator(monkeypatch, capsys):
         warnings.simplefilter("ignore")  # the broken runs trip the edge-mass warning
         assert main(["selftest"]) == 1
     out = capsys.readouterr().out
-    for name in ("linear ap vs exact", "poisson ap mass drift"):
+    for name in ("linear ap vs exact", "linear ap lab frame vs exact", "poisson ap mass drift"):
         assert f"FAIL {name}: " in out and "(band [" in out.split(f"FAIL {name}: ")[1].splitlines()[0]
-    assert "2 of 4 checks passed" in out
+    assert "2 of 5 checks passed" in out
     # every step went through both broken resolvents
     assert broken.count("predictor") == broken.count("corrector") > 0
     # a flux 5 % too strong lowers the linear ap error (6.8e-3 against 9.4e-3),
@@ -266,7 +266,8 @@ def test_selftest_reports_a_check_that_raises(monkeypatch, capsys):
     out = capsys.readouterr().out
     for name in ("linear ap vs exact", "splitting vs exact"):
         assert f"FAIL {name}: RuntimeError: no reference" in out
-    assert "2 of 4 checks passed" in out
+    # the lab frame check scores against the exact solution directly
+    assert "3 of 5 checks passed" in out
 
 
 @pytest.mark.parametrize("module, unloaded", [

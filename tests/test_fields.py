@@ -391,8 +391,8 @@ def test_frame_rotator_holds_one_half_of_the_map_and_views_of_it():
 
 
 def test_frame_rotator_rejects_int32_overflow():
-    # 2 * 16 * 8192**2 spread entries do not fit int32; nothing is allocated
-    with pytest.raises(ValueError, match="int32"):
+    # the stored half of the map at 16 x 8192^2 would take 12 GiB; nothing is allocated
+    with pytest.raises(ValueError, match="too large for the self-field map: it would allocate 12 GiB"):
         FrameRotator(PhaseGrid(8192), TorusGrid(16))
 
 

@@ -6,7 +6,7 @@ import pytest
 from test_fields import field_amplitude
 
 from vlasov_ap import fields, harness, reference, stepper
-from vlasov_ap.domain import PhaseGrid, initial_distribution
+from vlasov_ap.domain import PhaseGrid, TorusGrid, initial_distribution, rotate_to_xi
 from vlasov_ap.fields import get_tension
 from vlasov_ap.harness import (
     SCHEMES,
@@ -279,12 +279,8 @@ def test_every_scheme_observes_exactly_the_scheduled_steps(scheme, tmp_path, mon
         assert calls == {"_drift": 10, "_kick": 8}
 
 
-def test_a_quiet_run_holds_two_states_while_it_steps(monkeypatch):
-    # rows every second step make each span two advances; the second one holds
-    # its input and its working array, and nothing holds the span's first
-    # state any more.  Tracing starts at the first advance, so the set-up is
-    # not counted: measured 2.29 state sizes at 128^2 x 32, against 3.29 when
-    # the run loop kept the span's first state alive
+def _quiet_run_peak(monkeypatch, cfg):
+    """Peak traced bytes of a quiet run of cfg, traced from its first advance on."""
     advance = stepper.APSolver.advance
 
     def traced(self, state, dt):
@@ -293,13 +289,33 @@ def test_a_quiet_run_holds_two_states_while_it_steps(monkeypatch):
         return advance(self, state, dt)
 
     monkeypatch.setattr(stepper.APSolver, "advance", traced)
-    cfg = RunConfig(epsilon=0.25, t_final=0.06, n_points=128, n_tau=32, delta_t=0.01, rms_every=2)
     try:
         run(cfg, write=False)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+QUIET_LINEAR_RUN = RunConfig(epsilon=0.25, t_final=0.06, n_points=128, n_tau=32, delta_t=0.01, rms_every=2)
+
+
+def test_a_quiet_run_holds_two_states_while_it_steps(monkeypatch):
+    # rows every second step make each span two advances; the second one holds
+    # its input and its working array, and nothing holds the span's first
+    # state any more.  Tracing starts at the first advance, so the set-up is
+    # not counted: measured 1.28 whole-torus state sizes at 128^2 x 32, where
+    # the run steps on half the torus (two half states and about 1 MB of
+    # blocks), 2.29 when it stepped on the whole torus, and 3.29 when the run
+    # loop also kept the span's first state alive
+    peak = _quiet_run_peak(monkeypatch, QUIET_LINEAR_RUN)
     assert peak <= 2.5 * (32 * 128 * 128 * 8)
+
+
+def test_a_quiet_linear_run_steps_on_half_the_torus(monkeypatch):
+    # the same run as above: 1.28 whole-torus state sizes on half the torus,
+    # 2.29 on the whole one
+    peak = _quiet_run_peak(monkeypatch, QUIET_LINEAR_RUN)
+    assert peak <= 1.6 * (32 * 128 * 128 * 8)
 
 
 def test_lab_frame_is_built_for_snapshot_steps_only(tmp_path, monkeypatch):
@@ -421,6 +437,102 @@ def test_ap_runs_have_a_limit_as_eps_vanishes(mode):
 
 
 # ---------------------------------------------------------------------------
+# the half torus of linear two-scale runs
+
+FOLD_CASES = [("ap", "cos2sq"), ("ap", "cos4"), ("diffusion", "cos4")]
+
+
+def _fold_config(scheme, tension, out):
+    # ap takes the CFL step (5 steps), diffusion needs its own (10 steps)
+    dt = 0.02 if scheme == "diffusion" else None
+    return RunConfig(epsilon=0.2, t_final=0.2, n_points=32, n_tau=16, scheme=scheme, tension=tension,
+                     delta_t=dt, snapshot_times=(0.1, 0.2), output_dir=str(out))
+
+
+def _outputs(out):
+    meta = dict(line.split(" = ", 1) for line in (out / "meta.txt").read_text().splitlines())
+    tables = {p.name: np.loadtxt(p, delimiter=",", skiprows=1) for p in sorted(out.glob("*.csv"))}
+    return meta, tables
+
+
+@pytest.mark.parametrize("scheme, tension", FOLD_CASES)
+def test_a_folded_run_matches_the_whole_torus(scheme, tension, tmp_path, monkeypatch):
+    tori, choose = [], harness._two_scale_torus
+    monkeypatch.setattr(harness, "_two_scale_torus", lambda c: tori.append(choose(c)) or tori[-1])
+    run(_fold_config(scheme, tension, tmp_path / "half"))
+    assert tori == [TorusGrid(8, fold=2)]
+    monkeypatch.setattr(harness, "_two_scale_torus", lambda c: c.torus())
+    run(_fold_config(scheme, tension, tmp_path / "whole"))
+
+    (half_meta, half), (whole_meta, whole) = _outputs(tmp_path / "half"), _outputs(tmp_path / "whole")
+    assert half_meta["n_tau"] == whole_meta["n_tau"] == "16"
+    assert half_meta["n_steps"] == whole_meta["n_steps"] and half_meta["dt_actual"] == whole_meta["dt_actual"]
+    np.testing.assert_allclose(float(half_meta["max_negative_part"]), float(whole_meta["max_negative_part"]),
+                               rtol=1e-12, atol=0)
+    assert sorted(half) == sorted(whole) and len(half) == 3
+    np.testing.assert_allclose(half["rms.csv"], whole["rms.csv"], rtol=1e-12, atol=0)
+    for name in sorted(half)[1:]:
+        assert np.array_equal(half[name][:, :2], whole[name][:, :2])
+        for column in (2, 3):  # f_tilde and f_rv, to 1e-12 of their largest value
+            a, b = half[name][:, column], whole[name][:, column]
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), (name, column)
+
+
+def test_poisson_n_tau_4_and_a_tension_without_period_pi_keep_the_whole_torus(monkeypatch):
+    # cos 3tau turns sign under tau -> tau + pi
+    monkeypatch.setitem(fields.TENSIONS, "cos3", fields.Tension("cos3", lambda t: np.cos(3 * t),
+                                                                lambda t: np.sin(3 * t) / 3))
+    monkeypatch.setitem(harness._CHOICES, "tension", sorted(fields.TENSIONS))
+    base = RunConfig(epsilon=0.2, t_final=0.02, n_points=32, n_tau=16, delta_t=0.01)
+    assert harness._two_scale_torus(base) == TorusGrid(8, fold=2)
+    for cfg in (base.replace(mode="poisson"), base.replace(n_tau=4), base.replace(tension="cos3"),
+                base.replace(scheme="diffusion", tension="cos4", n_tau=4)):
+        assert harness._two_scale_torus(cfg) == TorusGrid(cfg.n_tau), cfg
+    # a run steps the torus that the helper gives it
+    shapes = []
+    advance = stepper.APSolver.advance
+    monkeypatch.setattr(stepper.APSolver, "advance",
+                        lambda self, state, dt: shapes.append(state.shape[0]) or advance(self, state, dt))
+    for cfg, n_tau in ((base, 8), (base.replace(tension="cos3"), 16), (base.replace(mode="poisson"), 16)):
+        shapes.clear()
+        run(cfg, write=False)
+        assert shapes == [n_tau, n_tau], cfg
+
+
+def test_a_folded_run_names_the_configured_n_tau():
+    # cos2sq repeats after pi, so this run is given the half torus before the solver rejects its mean field
+    cfg = RunConfig(epsilon=0.2, t_final=0.02, n_points=16, n_tau=16, scheme="diffusion", delta_t=0.01)
+    assert harness._two_scale_torus(cfg).fold == 2
+    with pytest.raises(ValueError, match="n_tau = 16 nodes: the tension is not mean-free"):
+        run(cfg, write=False)
+
+
+def test_poisson_mode_rejects_a_folded_torus():
+    with pytest.raises(ValueError, match="whole torus"):
+        stepper.APSolver(PhaseGrid(16), TorusGrid(8, fold=2), get_tension("cos2sq"), 0.2, mode="poisson")
+
+
+@pytest.mark.parametrize("scheme, tension", [("ap", "cos2sq"), ("diffusion", "cos4")])
+def test_snapshot_lab_frame_matches_the_exact_solution(scheme, tension, tmp_path):
+    # both runs step on half the torus, where f~ is read at 2 tau but the lab
+    # frame turns by tau itself: relative Linf 0.055 and 0.054 measured, 0.71
+    # and 0.49 with the lab frame turned by 2 tau
+    eps = 0.1 if scheme == "ap" else 0.2
+    cfg = RunConfig(epsilon=eps, t_final=0.5 if scheme == "ap" else 0.1, n_points=32, n_tau=16,
+                    scheme=scheme, tension=tension, delta_t=0.01 if scheme == "diffusion" else None,
+                    snapshot_times=(1.0,), output_dir=str(tmp_path))
+    result = run(cfg, write=False)
+    (path,) = tmp_path.glob("snapshot_*.csv")
+    f_rv = np.loadtxt(path, delimiter=",", skiprows=1, usecols=3).reshape(32, 32)
+    # the diffusion scheme's time t is the standard problem's t/eps, and its tau is t/eps^2
+    t = cfg.t_final / eps if scheme == "diffusion" else cfg.t_final
+    r, v = cfg.phase().mesh()
+    want = model_solution("exact", t, eps, get_tension(tension), *rotate_to_xi(t / eps, r, v))
+    assert result.n_steps * result.dt == pytest.approx(cfg.t_final, rel=1e-15)
+    assert rel_error(f_rv, want, "linf") <= 0.1
+
+
+# ---------------------------------------------------------------------------
 # filtered rms series
 
 def fast_band_fraction(times, series, eps):
@@ -515,6 +627,21 @@ def test_convergence_study_leaves_no_stale_slopes(tmp_path):
     _, slopes = convergence_study(cfg, [0.02], [0.25])
     assert slopes == []
     assert (tmp_path / "slopes.csv").read_text() == "epsilon,slope\n"
+
+
+def test_a_splitting_reference_maps_its_state_to_the_xi_frame_once(monkeypatch):
+    maps, solves = [], []
+    filtered, solve = reference.filtered_from_rv, SplittingSolver.solve
+    monkeypatch.setattr(reference, "filtered_from_rv", lambda *a: maps.append(a[2]) or filtered(*a))
+    monkeypatch.setattr(SplittingSolver, "solve", lambda self, *a: solves.append(a[1:3]) or solve(self, *a))
+    cfg = RunConfig(epsilon=0.25, t_final=0.1, n_points=32, mode="poisson")
+    ref = harness._splitting_reference(cfg)
+    # one span of all 8 steps, then one map to the xi frame, at t_final
+    assert solves == [(0, 8)] and maps == [pytest.approx(0.1, rel=1e-15)]
+    # the run the reference stands for gives the same field
+    fine = run(cfg.replace(scheme="splitting", n_points=64, rms_every=1 << 30), write=False)
+    assert np.array_equal(ref, fine.f_tilde[::2, ::2])
+    assert len(maps) == 3
 
 
 def test_reference_cache_is_memoized(tmp_path):
