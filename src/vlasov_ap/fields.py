@@ -20,14 +20,11 @@ the r grid.  The self-field uses one linear map, fixed for a run and held
 by FrameRotator as one sparse matrix per block of tau slices: the spread of
 a radial profile to its values at r(tau_l, xi).  Its transpose deposits
 each xi node's mass onto the r grid with the same weights, which gives the
-density rho(tau_l, r), as in particle-in-cell charge assignment.  Only the
-first half of the torus is stored: r(tau + pi, xi) = -r(tau, xi), so a
-slice of the second half is served by its partner's matrix with the
-profile reversed, on an r grid of n + 1 nodes (the xi nodes and xi_max)
-that r -> -r maps onto itself.  Interpolation here extends the grid by
-zero ghost nodes, so a lookup ramps to zero within one cell past the
-outermost xi nodes; the distribution is assumed compactly supported
-inside the box.
+density rho(tau_l, r), as in particle-in-cell charge assignment.  The map
+is stored for every slice of the torus it is given; a folded torus holds
+the slices of its period alone.  Interpolation here extends the grid by zero
+ghost nodes, so a lookup ramps to zero within one cell past the outermost
+xi nodes; the distribution is assumed compactly supported inside the box.
 """
 from __future__ import annotations
 
@@ -148,28 +145,23 @@ class FrameRotator:
     """The self-field's linear map between radial profiles and the xi mesh.
 
     The rotation angles and both grids never change during a run, so the map
-    is built once.  Since tau_{l + n_tau/2} = tau_l + pi, the radius
-    r(tau, xi) = xi1 cos tau + xi2 sin tau of a slice in the second half of
-    the torus is minus that of a slice in the first, so only the first half
-    is stored.  Its r grid has n + 1 nodes, the xi nodes plus r_n = xi_max,
-    so that -r_j = r_{n-j} maps the grid onto itself; beyond it the zero
-    ghosts sit at -1 and n + 1.  Every row holds the two bracketing nodes
-    of r(tau_l, xi), a ghost stored as an explicit zero weight:
+    is built once, for each of the torus's n_tau slices; its r grid is the n
+    xi nodes, with zero ghosts at -1 and n.  Every row holds the two
+    bracketing nodes of r(tau_l, xi), a ghost stored as an explicit zero
+    weight:
 
-    weights, indices: shape (n_tau/2, n, n, 2), float64 and int32, each
-        row's two weights and their columns, local to the row's block;
+    weights, indices: shape (n_tau, n, n, 2), float64 and int32, each row's
+        two weights and their columns, local to the row's block;
     indptr: the row pointer of the widest block, whose prefix serves a
         narrower one.
 
-    blocks lists the slices of the whole torus in tau order, in blocks from
-    averaging.block_slices over the first half, then the same blocks
-    shifted by n_tau/2.  spreads[b], a CSR view of the stored entries of the
-    m slices of block b, (m*n*n) x (m*(n+1)), samples each slice's profile
-    linearly at r(tau_l, xi); it serves block b directly and block
-    b + len(spreads) as its mirror r -> -r.  The columns are local to the
-    block, so a stage can take the amplitude of one block of slices without
-    forming the whole (a row slice of one big CSR matrix would be a copy).
-    The transpose, deposits[b], a CSC view of the same arrays, deposits the
+    blocks lists the slices in tau order, in blocks from
+    averaging.block_slices.  spreads[b], a CSR view of the stored entries of
+    the m slices of block b, (m*n*n) x (m*n), samples each slice's profile
+    linearly at r(tau_l, xi).  The columns are local to the block, so a
+    stage can take the amplitude of one block of slices without forming the
+    whole (a row slice of one big CSR matrix would be a copy).  The
+    transpose, deposits[b], a CSC view of the same arrays, deposits the
     block's mass onto the r grid with the same weights.
     """
 
@@ -177,29 +169,28 @@ class FrameRotator:
         self.phase = phase
         self.torus = torus
         n, nt = phase.n_points, torus.n_tau
-        # the stored half holds nt * n * n entries of 12 bytes (a float64 weight, an int32 index)
+        # the map holds 2 * nt * n * n entries of 12 bytes (a float64 weight, an int32 index)
         if 2 * nt * n * n >= 2 ** 31:
-            gib = 12 * nt * n * n / 2 ** 30
+            gib = 24 * nt * n * n / 2 ** 30
             raise ValueError(f"grid too large for the self-field map: it would allocate {gib:.0f} GiB")
 
-        half = block_slices(nt // 2, n * n)
-        self.blocks = half + [slice(taus.start + nt // 2, taus.stop + nt // 2) for taus in half]
-        self.weights = np.empty((nt // 2, n, n, 2))
-        self.indices = np.empty((nt // 2, n, n, 2), dtype=np.int32)
-        self.indptr = np.arange(0, 2 * half[0].stop * n * n + 1, 2, dtype=np.int32)
+        self.blocks = block_slices(nt, n * n)
+        self.weights = np.empty((nt, n, n, 2))
+        self.indices = np.empty((nt, n, n, 2), dtype=np.int32)
+        self.indptr = np.arange(0, 2 * self.blocks[0].stop * n * n + 1, 2, dtype=np.int32)
         xi1, xi2 = phase.mesh()
         self.spreads, self.deposits = [], []
-        for taus in half:
+        for taus in self.blocks:
             for l in range(taus.start, taus.stop):
                 r = rotate_to_rv(torus.nodes[l], xi1, xi2)[0]
                 for c, (k, w) in enumerate(_linear_weights(phase, r)):
-                    np.add((l - taus.start) * (n + 1), k, out=self.indices[l, ..., c])
+                    np.add((l - taus.start) * n, k, out=self.indices[l, ..., c])
                     self.weights[l, ..., c] = w
             m = taus.stop - taus.start
             arrays = (self.weights[taus].reshape(-1), self.indices[taus].reshape(-1), self.indptr[: m * n * n + 1])
-            self.spreads.append(_sparse_view(csr_matrix, arrays, (m * n * n, m * (n + 1))))
+            self.spreads.append(_sparse_view(csr_matrix, arrays, (m * n * n, m * n)))
             # the CSC view of the same arrays, taken once rather than on every deposit
-            self.deposits.append(_sparse_view(csc_matrix, arrays, (m * (n + 1), m * n * n)))
+            self.deposits.append(_sparse_view(csc_matrix, arrays, (m * n, m * n * n)))
 
 
 def _sparse_view(kind, arrays, shape):
@@ -214,7 +205,7 @@ def _sparse_view(kind, arrays, shape):
 
 
 def _linear_weights(grid: PhaseGrid, x: np.ndarray):
-    """The two nodes of the r grid -xi_max + k delta_xi, k = 0..n, bracketing each x.
+    """The two nodes of the xi grid -xi_max + k delta_xi, k < n, bracketing each x.
 
     Returned as two (index, weight) pairs shaped like x.  A bracketing node
     off the grid is a zero ghost: weight 0, index clipped to 0.
@@ -224,7 +215,7 @@ def _linear_weights(grid: PhaseGrid, x: np.ndarray):
     frac = g - k
     pairs = []
     for node, w in ((k, 1.0 - frac), (k + 1.0, frac)):
-        inside = (node >= 0) & (node <= grid.n_points)
+        inside = (node >= 0) & (node < grid.n_points)
         pairs.append((np.where(inside, node, 0).astype(np.int32), np.where(inside, w, 0.0)))
     return pairs
 
@@ -235,33 +226,17 @@ def radial_profiles(state: np.ndarray, rotator: FrameRotator) -> np.ndarray:
     Each slice is deposited onto the r grid with the spread's weights,
     rho = delta_xi * spread^T f, one block of slices at a time, which keeps
     the mass of a slice that stays inside the box; the radial field of all
-    slices is then taken at once.  A direct block's bins 0..n-1 are rho, the
-    bin at r_n = xi_max dropped; a mirrored block's read backwards, rho_i =
-    bins_{n-i}, its bin 0 dropped.
+    slices is then taken at once.
     """
     n = rotator.phase.n_points
-    half = len(rotator.spreads)
     rho = np.empty((rotator.torus.n_tau, n))
-    for b, taus in enumerate(rotator.blocks):
-        bins = (rotator.deposits[b % half] @ np.ravel(state[taus])).reshape(-1, n + 1)
-        rho[taus] = bins[:, :n] if b < half else bins[:, :0:-1]
+    for taus, deposit in zip(rotator.blocks, rotator.deposits):
+        rho[taus] = (deposit @ np.ravel(state[taus])).reshape(-1, n)
     rho *= rotator.phase.delta_xi
     return radial_field(rho, rotator.phase)
 
 
 def spread(e_rad: np.ndarray, rotator: FrameRotator, block: int) -> np.ndarray:
-    """Amplitude E_f(r(tau, xi)) on the slices of one block, from radial_profiles' e_rad; shape (m, n, n).
-
-    On the n + 1 nodes of the stored block a direct block's profile reads
-    [E_0, ..., E_{n-1}, 0] and a mirrored block's [0, E_{n-1}, ..., E_0],
-    the profile at -r.
-    """
+    """Amplitude E_f(r(tau, xi)) on the slices of one block, from radial_profiles' e_rad; shape (m, n, n)."""
     n = rotator.phase.n_points
-    half = len(rotator.spreads)
-    taus = rotator.blocks[block]
-    profile = np.zeros((taus.stop - taus.start, n + 1))
-    if block < half:
-        profile[:, :n] = e_rad[taus]
-    else:
-        profile[:, 1:] = e_rad[taus, ::-1]
-    return (rotator.spreads[block % half] @ profile.ravel()).reshape(-1, n, n)
+    return (rotator.spreads[block] @ np.ravel(e_rad[rotator.blocks[block]])).reshape(-1, n, n)

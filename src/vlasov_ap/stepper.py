@@ -39,8 +39,8 @@ The solvers step whatever torus they are given.  On a folded one
 operators act in sigma = fold*tau, so L = fold d/dsigma: every lam is
 scaled by fold and the antiderivative of the corrected initial state
 divided by it, while the xi stencils and the field read the true angles
-tau_l.  The run loop gives linear runs whose tension repeats after pi the
-half torus, fold 2; the self-field keeps poisson mode on the whole torus.
+tau_l.  The run loop gives runs whose tension repeats after pi the half
+torus, fold 2, in both modes.
 
 A two-scale state is n_tau times the physical grid, so a step is counted in
 whole states.  It holds its input F and one working array A, and every other
@@ -146,8 +146,7 @@ class APSolver:
     as its amplitude g; the applied part does not depend on t, so it is
     sampled once.  Any torus carries the same scheme: on a folded one the
     state holds its first n_tau nodes of the period 2*pi/fold, and the tau
-    operators take lam * fold.  Poisson mode needs the whole torus (fold 1),
-    as FrameRotator pairs each slice with the one pi away.
+    operators take lam * fold.
     """
 
     def __init__(
@@ -163,8 +162,6 @@ class APSolver:
             raise ValueError(f"unknown mode {mode!r}")
         if epsilon <= 0:
             raise ValueError("epsilon must be positive")
-        if mode == "poisson" and torus.fold != 1:
-            raise ValueError("mode poisson steps on the whole torus (fold = 1)")
         self.phase = phase
         self.torus = torus
         self.epsilon = epsilon

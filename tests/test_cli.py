@@ -219,6 +219,14 @@ def test_selftest_passes():
     assert main(["selftest", "--quiet"]) == 0
 
 
+def _failed_value_and_band(out, name):
+    """The measured value and band printed on the FAIL line of the named check."""
+    line = out.split(f"FAIL {name}: ")[1].splitlines()[0]
+    value, band = line.split(" (band [")
+    lo, hi = band.rstrip("])").split(", ")
+    return float(value), float(lo), float(hi)
+
+
 def test_selftest_exits_1_under_a_broken_operator(monkeypatch, capsys):
     # a resolvent that returns its input, in the predictor and in the
     # corrector's one pass alike, fails three checks on their bands, and the
@@ -244,7 +252,7 @@ def test_selftest_exits_1_under_a_broken_operator(monkeypatch, capsys):
     assert "2 of 5 checks passed" in out
     # every step went through both broken resolvents
     assert broken.count("predictor") == broken.count("corrector") > 0
-    # a flux 5 % too strong lowers the linear ap error (6.8e-3 against 9.4e-3),
+    # a flux 5 % too strong lowers the linear ap error (2.84e-3 against 3.61e-3),
     # so only the lower edge of that check's band catches it
     monkeypatch.undo()
     xi_operator = stepper.xi_operator
@@ -252,9 +260,32 @@ def test_selftest_exits_1_under_a_broken_operator(monkeypatch, capsys):
                         lambda g, tau, dxi, c_avg, c_flux, f, out=None:
                         xi_operator(g, tau, dxi, c_avg, 1.05 * c_flux, f, out))
     assert main(["selftest"]) == 1
-    out = capsys.readouterr().out
-    # the check fails on a measured value outside its band, not on an exception
-    assert "FAIL linear ap vs exact: " in out and "(band [" in out.split("FAIL linear ap vs exact: ")[1].splitlines()[0]
+    # the check fails on a measured value outside its band, not on an
+    # exception: 1.15 times below its lower edge
+    value, lo, hi = _failed_value_and_band(capsys.readouterr().out, "linear ap vs exact")
+    assert value < lo / 1.1
+
+
+def test_selftest_exits_1_under_an_unscaled_half_torus_antiderivative(monkeypatch, capsys):
+    # the corrected initial state without its / fold: the antiderivative taken
+    # in sigma = 2 tau is then twice too large.  The linear ap check at
+    # t = 0.25 reads 9.0e-3, 2.27 times its band's upper edge
+    initial_state = stepper.APSolver.initial_state
+    seen = []
+
+    def unscaled(self, init="corrected"):
+        seen.append(self.torus.fold)
+        eps, self.epsilon = self.epsilon, self.epsilon * self.torus.fold
+        try:
+            return initial_state(self, init)
+        finally:
+            self.epsilon = eps
+
+    monkeypatch.setattr(stepper.APSolver, "initial_state", unscaled)
+    assert main(["selftest"]) == 1
+    assert 2 in seen
+    value, lo, hi = _failed_value_and_band(capsys.readouterr().out, "linear ap vs exact")
+    assert value > 2 * hi
 
 
 def test_selftest_reports_a_check_that_raises(monkeypatch, capsys):

@@ -244,7 +244,7 @@ def test_self_field_zero_state():
 
 def test_self_field_against_loop_oracle():
     rng = np.random.default_rng(11)
-    # at 32^2 x 16 each half of the torus is a block of 8 slices
+    # at 32^2 x 16 the torus is one block of 16 slices
     for n, n_tau in ((16, 8), (32, 16)):
         phase = PhaseGrid(n)
         torus = TorusGrid(n_tau)
@@ -252,8 +252,7 @@ def test_self_field_against_loop_oracle():
         x1, x2 = phase.mesh()
         bump = np.exp(-2.0 * (x1 ** 2 + x2 ** 2))
         # the bump is 1e-14 at the rim; the rim load puts O(1) values in the
-        # outermost cells, where rotated nodes ramp to the zero ghosts and the
-        # mirrored slices meet the r grid's extra node r_n = xi_max
+        # outermost cells, where rotated nodes ramp to the zero ghosts
         rim = np.zeros((n, n), dtype=bool)
         rim[[0, -1], :] = rim[:, [0, -1]] = True
         for state in (bump[None] * (1.0 + 0.3 * rng.random((n_tau, 1, 1))),
@@ -306,12 +305,12 @@ def test_deposit_is_the_adjoint_of_the_spread(monkeypatch):
     np.testing.assert_allclose(lhs, np.dot(e.ravel(), rho.ravel()), rtol=1e-13)
 
 
-def _rotator_stacks(phase, taus, n_nodes):
+def _rotator_stacks(phase, taus):
     """The spread's entries built one tau slice at a time from (..., 2) corner stacks.
 
-    For the r grid of n_nodes nodes -xi_max + k delta_xi: the bracketing
-    node indices k and weights of every row, shaped (len(taus), n, n, 2),
-    and the number of ghost corners met.
+    On the n xi nodes -xi_max + k delta_xi: the bracketing node indices k
+    and weights of every row, shaped (len(taus), n, n, 2), a node off the
+    grid a zero ghost at index 0.
     """
     n = phase.n_points
 
@@ -321,68 +320,60 @@ def _rotator_stacks(phase, taus, n_nodes):
         frac = g - k0
         k = k0[..., None] + np.array([0.0, 1.0])
         w = np.stack([1.0 - frac, frac], axis=-1)
-        inside = (k >= 0) & (k < n_nodes)
-        return np.where(inside, k, 0).astype(np.int32), np.where(inside, w, 0.0), (~inside).sum()
+        inside = (k >= 0) & (k < n)
+        return np.where(inside, k, 0).astype(np.int32), np.where(inside, w, 0.0)
 
     spread_idx = np.empty((len(taus), n, n, 2), dtype=np.int32)
     spread_w = np.empty((len(taus), n, n, 2))
-    ghosts = 0
     a, b = phase.mesh()
     for l, tau in enumerate(taus):
-        spread_idx[l], spread_w[l], g = weights(rotate_to_rv(tau, a, b)[0])
-        ghosts += g
-    return spread_idx, spread_w, ghosts
+        spread_idx[l], spread_w[l] = weights(rotate_to_rv(tau, a, b)[0])
+    return spread_idx, spread_w
 
 
-def _rel_linf_per_slice(got, want):
-    axes = tuple(range(1, want.ndim))
-    return np.abs(got - want).max(axis=axes) / np.abs(want).max(axis=axes)
-
-
-# one block of tau slices per half of the torus, (at 96^2, 7 slices a block)
-# a full and a partial block per half, and (at 512^2, where one slice holds
-# more than BLOCK_ENTRIES) one slice a block
-@pytest.mark.parametrize("n, n_tau", [(16, 8), (32, 16), (96, 16), (512, 4)])
-def test_frame_rotator_matches_the_stacked_construction_entry_for_entry(n, n_tau, monkeypatch):
+# one block of tau slices (32^2 x 16), a full and a partial block (at 96^2,
+# 7 slices a block), and (at 512^2, where one slice holds more than
+# BLOCK_ENTRIES) one slice a block; a folded torus stores its n_tau slices
+@pytest.mark.parametrize("n, torus", [
+    pytest.param(16, TorusGrid(8), id="16-8"),
+    pytest.param(32, TorusGrid(16), id="32-16"),
+    pytest.param(96, TorusGrid(16), id="96-16"),
+    pytest.param(512, TorusGrid(4), id="512-4"),
+    pytest.param(32, TorusGrid(8, fold=2), id="32-8-fold2"),
+    pytest.param(96, TorusGrid(8, fold=2), id="96-8-fold2"),
+])
+def test_frame_rotator_matches_the_stacked_construction_entry_for_entry(n, torus, monkeypatch):
     # at xi_max 3.5 delta_xi is not a power of two, so rounding in the weights shows
-    phase, torus = PhaseGrid(n, 3.5), TorusGrid(n_tau)
+    phase, n_tau = PhaseGrid(n, 3.5), torus.n_tau
     rot = FrameRotator(phase, torus)
-    half = n_tau // 2
-    width = min(half, max(1, averaging.BLOCK_ENTRIES // (n * n)))
-    stored = [(s, min(s + width, half)) for s in range(0, half, width)]
-    assert [(b.start, b.stop) for b in rot.blocks] == stored + [(a + half, b + half) for a, b in stored]
+    width = min(n_tau, max(1, averaging.BLOCK_ENTRIES // (n * n)))
+    blocks = [(s, min(s + width, n_tau)) for s in range(0, n_tau, width)]
+    assert [(b.start, b.stop) for b in rot.blocks] == blocks
 
-    # the stored half, on the r grid of n + 1 nodes, with columns local to each block
-    idx, w, ghosts = _rotator_stacks(phase, torus.nodes[:half], n + 1)
-    # rotated nodes leave the box, so zero ghosts are stored, but for tau = 0
-    # and pi/2, the stored half at n_tau = 4, whose radii stay on the n + 1 nodes
-    assert (ghosts > 0) == (n_tau > 4)
-    block_start = np.concatenate([np.full(b - a, a) for a, b in stored])
+    # the stored entries, zero ghosts included, with columns local to each block
+    idx, w = _rotator_stacks(phase, torus.nodes)
+    block_start = np.concatenate([np.full(b - a, a) for a, b in blocks])
     assert np.array_equal(rot.weights, w)
-    assert np.array_equal(rot.indices, idx + ((np.arange(half) - block_start) * (n + 1))[:, None, None, None])
+    assert np.array_equal(rot.indices, idx + ((np.arange(n_tau) - block_start) * n)[:, None, None, None])
     assert np.array_equal(rot.indptr, np.arange(0, 2 * width * n * n + 1, 2))
     assert rot.indices.dtype == rot.indptr.dtype == np.int32
 
-    # every slice, the mirrored half too, against the direct map of all slices on the n xi nodes
-    idx, w, _ = _rotator_stacks(phase, torus.nodes, n)
+    # every slice, to the bit, against the direct map of all slices on the n xi nodes
     idx += (np.arange(n_tau) * n)[:, None, None, None]
     direct = csr_matrix((w.ravel(), idx.ravel(), np.arange(0, w.size + 1, 2)), shape=(n_tau * n * n, n_tau * n))
-    # a mirrored slice's weights differ from the direct ones by the rounding of
-    # r / delta_xi, which grows with n: measured up to 5.6e-14 (spread) and
-    # 1.8e-14 (density) at 512^2
     rng = np.random.default_rng(n)
     e = rng.random((n_tau, n))
     f = rng.random((n_tau, n, n))
-    want = (direct @ e.ravel()).reshape(n_tau, n, n)
-    assert _rel_linf_per_slice(whole_spread(e, rot), want).max() <= 1e-13
+    assert np.array_equal(whole_spread(e, rot), (direct @ e.ravel()).reshape(n_tau, n, n))
     rho = phase.delta_xi * (direct.T @ f.ravel()).reshape(n_tau, n)
-    assert _rel_linf_per_slice(_deposited_density(f, rot, monkeypatch), rho).max() <= 1e-13
+    assert np.array_equal(_deposited_density(f, rot, monkeypatch), rho)
 
 
 def test_frame_rotator_holds_one_half_of_the_map_and_views_of_it():
-    # 28 MiB at 128^2 x 64 for sixteen blocks of their own; each matrix, the
-    # CSC deposits too, is a view of the stored arrays and adds nothing
-    rot = FrameRotator(PhaseGrid(128), TorusGrid(64))
+    # the rotator of a poisson_ap run, 128^2 on the half torus of 32 slices,
+    # stores 12.25 MiB; each matrix, the CSC deposits too, is a view of the
+    # stored arrays and adds nothing
+    rot = FrameRotator(PhaseGrid(128), TorusGrid(32, fold=2))
     stored = (rot.weights, rot.indices, rot.indptr)
     assert sum(a.nbytes for a in stored) <= 13 * 2 ** 20
     for matrix in rot.spreads + rot.deposits:
@@ -391,8 +382,8 @@ def test_frame_rotator_holds_one_half_of_the_map_and_views_of_it():
 
 
 def test_frame_rotator_rejects_int32_overflow():
-    # the stored half of the map at 16 x 8192^2 would take 12 GiB; nothing is allocated
-    with pytest.raises(ValueError, match="too large for the self-field map: it would allocate 12 GiB"):
+    # the map of 16 x 8192^2 would take 24 GiB; nothing is allocated
+    with pytest.raises(ValueError, match="too large for the self-field map: it would allocate 24 GiB"):
         FrameRotator(PhaseGrid(8192), TorusGrid(16))
 
 
