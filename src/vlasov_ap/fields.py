@@ -34,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 from scipy.ndimage import map_coordinates
-from scipy.sparse import csc_matrix, csr_matrix
+from scipy.sparse import csr_matrix
 
 from .averaging import block_slices
 from .domain import PhaseGrid, TorusGrid, rotate_to_rv
@@ -148,20 +148,15 @@ class FrameRotator:
     is built once, for each of the torus's n_tau slices; its r grid is the n
     xi nodes, with zero ghosts at -1 and n.  Every row holds the two
     bracketing nodes of r(tau_l, xi), a ghost stored as an explicit zero
-    weight:
-
-    weights, indices: shape (n_tau, n, n, 2), float64 and int32, each row's
-        two weights and their columns, local to the row's block;
-    indptr: the row pointer of the widest block, whose prefix serves a
-        narrower one.
+    weight.
 
     blocks lists the slices in tau order, in blocks from
-    averaging.block_slices.  spreads[b], a CSR view of the stored entries of
-    the m slices of block b, (m*n*n) x (m*n), samples each slice's profile
-    linearly at r(tau_l, xi).  The columns are local to the block, so a
-    stage can take the amplitude of one block of slices without forming the
-    whole (a row slice of one big CSR matrix would be a copy).  The
-    transpose, deposits[b], a CSC view of the same arrays, deposits the
+    averaging.block_slices.  spreads[b], a CSR matrix (m*n*n) x (m*n) over
+    float64 weights and int32 indices of its own, samples each of the m
+    slices of block b linearly at r(tau_l, xi); every block shares one row
+    pointer.  The columns are local to the block, so a stage can take the
+    amplitude of one block of slices without forming the whole.  The
+    transpose, deposits[b], a CSC matrix over the same arrays, deposits the
     block's mass onto the r grid with the same weights.
     """
 
@@ -175,33 +170,20 @@ class FrameRotator:
             raise ValueError(f"grid too large for the self-field map: it would allocate {gib:.0f} GiB")
 
         self.blocks = block_slices(nt, n * n)
-        self.weights = np.empty((nt, n, n, 2))
-        self.indices = np.empty((nt, n, n, 2), dtype=np.int32)
-        self.indptr = np.arange(0, 2 * self.blocks[0].stop * n * n + 1, 2, dtype=np.int32)
+        indptr = np.arange(0, 2 * self.blocks[0].stop * n * n + 1, 2, dtype=np.int32)
         xi1, xi2 = phase.mesh()
-        self.spreads, self.deposits = [], []
+        self.spreads = []
         for taus in self.blocks:
-            for l in range(taus.start, taus.stop):
-                r = rotate_to_rv(torus.nodes[l], xi1, xi2)[0]
-                for c, (k, w) in enumerate(_linear_weights(phase, r)):
-                    np.add((l - taus.start) * n, k, out=self.indices[l, ..., c])
-                    self.weights[l, ..., c] = w
             m = taus.stop - taus.start
-            arrays = (self.weights[taus].reshape(-1), self.indices[taus].reshape(-1), self.indptr[: m * n * n + 1])
-            self.spreads.append(_sparse_view(csr_matrix, arrays, (m * n * n, m * n)))
-            # the CSC view of the same arrays, taken once rather than on every deposit
-            self.deposits.append(_sparse_view(csc_matrix, arrays, (m * n, m * n * n)))
-
-
-def _sparse_view(kind, arrays, shape):
-    """A scipy matrix of the given kind over (data, indices, indptr) arrays, sharing their memory.
-
-    scipy's constructors copy an array that views less than half of its
-    base, so the arrays are set on an empty matrix instead.
-    """
-    matrix = kind(shape)
-    matrix.data, matrix.indices, matrix.indptr = arrays
-    return matrix
+            weights, indices = np.empty((m, n, n, 2)), np.empty((m, n, n, 2), dtype=np.int32)
+            for l, tau in enumerate(torus.nodes[taus]):
+                for c, (k, w) in enumerate(_linear_weights(phase, rotate_to_rv(tau, xi1, xi2)[0])):
+                    np.add(l * n, k, out=indices[l, ..., c])
+                    weights[l, ..., c] = w
+            arrays = (weights.ravel(), indices.ravel(), indptr[: m * n * n + 1])
+            self.spreads.append(csr_matrix(arrays, shape=(m * n * n, m * n)))
+        # CSC matrices over the same arrays, taken once rather than on every deposit
+        self.deposits = [s.T for s in self.spreads]
 
 
 def _linear_weights(grid: PhaseGrid, x: np.ndarray):

@@ -20,7 +20,7 @@ way.  Outputs land in
 ``output_dir``: ``rms.csv`` (one DiagnosticsRecord at step 0, every
 ``rms_every``-th step and the last step), ``snapshot_<t>.csv`` (xi1, xi2,
 f_tilde, f_rv) and ``meta.txt`` with every resolved parameter.  A snapshot
-time is moved to its nearest step, clamped to [0, t_final]; requests that
+time is clamped to [0, t_final] and moved to its nearest step; requests that
 land on one step share one file named after that step's time, and a run whose
 distinct snapshot steps would share a file name is rejected before it steps.
 Numbers are written with %.17g and files are replaced atomically, so reruns
@@ -30,11 +30,13 @@ Parameter studies (``convergence_study``, ``table_study``) compare runs
 against a reference.  ``convergence_study`` uses ``reference_filtered``: the
 exact linear solution in linear mode, whatever the tension, and a fine
 splitting run in poisson mode.  The error table always uses the fine
-splitting run.  A splitting reference is its cell run by the
-``splitting`` scheme on the fine grid in one span, observed at t_final only
-(``_final_field``), with the inputs it does not inherit (n_tau, init,
-delta_t, output_dir, reference_n) reset to their defaults.  The table's
-references can be cached on disk, keyed by that run's config plus
+splitting run.  Every scored f~, of a study cell, a reference or a
+``selftest`` check, is stepped by ``_final_field``: run's steps in one span,
+observed at t_final only, with run's edge-mass warning.  A splitting
+reference is its cell run by the ``splitting`` scheme on the fine grid, with
+the inputs it does not inherit (n_tau, init, delta_t, output_dir,
+snapshot_times, rms_every, reference_n) reset to their defaults.  The
+table's references can be cached on disk, keyed by that run's config plus
 REFERENCE_CACHE_VERSION; an entry that fails to load is recomputed.
 ``selftest`` runs a few small end-to-end checks against the same references.
 """
@@ -443,7 +445,7 @@ def run(config: RunConfig, write: bool = True) -> RunResult:
     """
     state, dt_hint, advance, observe = _SCHEME_SETUPS[config.scheme](config)
     n_steps, dt = _resolve_steps(config, dt_hint)
-    snaps = _snapshot_steps(config, dt, n_steps)
+    snaps = _snapshot_steps(config, dt)
     every = config.rms_every
     result = RunResult(config, dt, n_steps, output_dir=Path(config.output_dir))
     grid = config.phase()
@@ -460,19 +462,21 @@ def run(config: RunConfig, write: bool = True) -> RunResult:
             frac = boundary_mass_fraction(f_tilde)
             result.records.append(DiagnosticsRecord(t, rms(f_tilde, grid), mass, frac))
             result.max_negative = max(result.max_negative, negative_part(f_tilde, grid))
-            if frac > BOUNDARY_WARN_FRACTION and not warned:
-                warnings.warn(
-                    f"{frac:.2e} of the mass sits within two cells of the box edge "
-                    f"at t = {t:.6g}; the zero-inflow box is too small",
-                    RuntimeWarning,
-                )
-                warned = True
+            warned = warned or _warn_at_edge(frac, t)
         if k in snaps:
             _write_snapshot(result, t, f_tilde, f_rv, grid)
     result.f_tilde = f_tilde
     if write:
         _write_outputs(result)
     return result
+
+
+def _warn_at_edge(frac: float, t: float) -> bool:
+    """Warn, and return True, when frac, the boundary mass fraction at time t, crosses BOUNDARY_WARN_FRACTION."""
+    if frac > BOUNDARY_WARN_FRACTION:
+        warnings.warn(f"{frac:.2e} of the mass sits within two cells of the box edge at t = {t:.6g}; "
+                      "the zero-inflow box is too small", RuntimeWarning)
+    return frac > BOUNDARY_WARN_FRACTION
 
 
 def _resolve_steps(config: RunConfig, dt_hint: float):
@@ -483,14 +487,15 @@ def _resolve_steps(config: RunConfig, dt_hint: float):
     return n_steps, config.t_final / n_steps
 
 
-def _snapshot_steps(config: RunConfig, dt: float, n_steps: int) -> set[int]:
+def _snapshot_steps(config: RunConfig, dt: float) -> set[int]:
     """Steps that write a snapshot, one file per step, named after the step time.
 
-    Each requested time goes to its nearest step, clamped to [0, n_steps], so
-    requests landing on one step (times past t_final included) share a file.
-    Distinct steps whose names collide are rejected before any stepping.
+    Each requested time is clamped to [0, t_final] and goes to its nearest
+    step, so requests landing on one step (times past t_final included)
+    share a file.  Distinct steps whose names collide are rejected before
+    any stepping.
     """
-    steps = {min(n_steps, max(0, round(t / dt))) for t in config.snapshot_times}
+    steps = {round(min(max(t, 0.0), config.t_final) / dt) for t in config.snapshot_times}
     names = sorted({_snapshot_name(k * dt) for k in steps})
     if len(names) < len(steps):
         raise ValueError(f"snapshot_times fall on {len(steps)} steps but name only the files {names}")
@@ -553,26 +558,24 @@ def _write_outputs(result: RunResult):
 # that cached references from the old code are not reused
 REFERENCE_CACHE_VERSION = 3
 # inputs that do not change a splitting reference's numbers; its run resets them
-_REFERENCE_RESETS = ("n_tau", "init", "delta_t", "output_dir", "reference_n")
+_REFERENCE_RESETS = ("n_tau", "init", "delta_t", "output_dir", "snapshot_times", "rms_every", "reference_n")
 
 
-def _quiet(config: RunConfig, **changes) -> RunConfig:
-    """The config with changes, writing no snapshots and sampling only the endpoints."""
-    return config.replace(snapshot_times=(), rms_every=1 << 30, **changes)
+def _final_field(config: RunConfig) -> tuple[np.ndarray, float]:
+    """f~ at t_final of the config's run and its step, stepped in one span and observed once, at its end.
 
-
-def _final_field(config: RunConfig) -> np.ndarray:
-    """f~ at t_final of the config's run, stepped in one span and observed once, at its end.
-
-    A quiet run observes step 0 too, which costs a splitting run a second map
-    to the xi frame; this takes the same steps and keeps no diagnostics.
+    This is how the f~ of a study cell, a reference or a selftest check is
+    stepped: it takes run's steps, writes nothing and keeps no diagnostics,
+    but warns as run does when the final f~ has mass at the box edge.
     """
     state, dt_hint, advance, observe = _SCHEME_SETUPS[config.scheme](config)
     n_steps, dt = _resolve_steps(config, dt_hint)
     if n_steps:
         held, state = [state], None
         state = advance(held, 0, n_steps, dt)
-    return observe(state, n_steps * dt, False)[0]
+    f_tilde = observe(state, n_steps * dt, False)[0]
+    _warn_at_edge(boundary_mass_fraction(f_tilde), n_steps * dt)
+    return f_tilde, dt
 
 
 def _splitting_reference(config: RunConfig, cache_dir=None) -> np.ndarray:
@@ -584,7 +587,7 @@ def _splitting_reference(config: RunConfig, cache_dir=None) -> np.ndarray:
     of the run it keys, a field added later included.
     """
     reset = {f.name: f.default for f in dataclasses.fields(RunConfig) if f.name in _REFERENCE_RESETS}
-    ref = _quiet(config, scheme="splitting", n_points=config.reference_n or 2 * config.n_points, **reset)
+    ref = config.replace(scheme="splitting", n_points=config.reference_n or 2 * config.n_points, **reset)
     path = None
     if cache_dir:
         blob = f"{REFERENCE_CACHE_VERSION}\n{config.n_points}\n{format_config(ref)}".encode()
@@ -595,7 +598,7 @@ def _splitting_reference(config: RunConfig, cache_dir=None) -> np.ndarray:
             except (OSError, ValueError, EOFError):
                 pass  # a damaged entry is recomputed and replaced below
     stride = ref.n_points // config.n_points
-    coarse = _final_field(ref)[::stride, ::stride]
+    coarse = _final_field(ref)[0][::stride, ::stride]
     if path is not None:
         _replace_file(path, lambda fh: np.save(fh, coarse))
     return coarse
@@ -629,12 +632,12 @@ def convergence_study(config: RunConfig, dt_list, eps_list):
     dts.  Writes convergence.csv and slopes.csv under config.output_dir;
     slopes.csv is header-only when no eps has two dts.
     """
-    cells = [_quiet(config, epsilon=float(e), delta_t=float(dt)) for e in eps_list for dt in dt_list]
+    cells = [config.replace(epsilon=float(e), delta_t=float(dt)) for e in eps_list for dt in dt_list]
     refs = {float(e): reference_filtered(config.replace(epsilon=float(e))) for e in eps_list}
     rows = []
     for cell in cells:
-        res = run(cell, write=False)
-        rows.append((cell.epsilon, res.dt, rel_error(res.f_tilde, refs[cell.epsilon], "l2")))
+        f_tilde, dt = _final_field(cell)
+        rows.append((cell.epsilon, dt, rel_error(f_tilde, refs[cell.epsilon], "l2")))
     slopes = []
     for e in eps_list:
         pts = [(dt, err) for eps, dt, err in rows if eps == float(e)]
@@ -655,19 +658,19 @@ def table_study(config: RunConfig, eps_list=TABLE_EPSILONS, cache_dir: str | Non
     """Relative Linf errors of ap, second-order and limit fields vs fine splitting.
 
     Reproduces the headline accuracy table; rows are
-    (eps, err_ap, err_second_order, err_limit) at t_final: a quiet ap run and
-    each model's closed form at t_final, scored against one splitting reference
-    per eps, cached in ``cache_dir`` when one is given.  The closed forms exist
-    for linear mode with tension cos2sq only, so any other mode or tension is
-    rejected.  Writes table.csv under config.output_dir.
+    (eps, err_ap, err_second_order, err_limit) at t_final: the ap run's final
+    field and each model's closed form, scored against one splitting
+    reference per eps, cached in ``cache_dir`` when one is given.  The closed
+    forms exist for linear mode with tension cos2sq only, so any other mode
+    or tension is rejected.  Writes table.csv under config.output_dir.
     """
     rows = []
     for e in eps_list:
-        cfg = _quiet(config, epsilon=float(e))
+        cfg = config.replace(epsilon=float(e))
         _closed_form_only(cfg, "table_study")
         ref = _splitting_reference(cfg, cache_dir)
         args = (cfg.t_final, cfg.epsilon, get_tension(cfg.tension), *cfg.phase().mesh(), cfg.f0_params())
-        got = [run(cfg.replace(scheme="ap"), write=False).f_tilde]
+        got = [_final_field(cfg.replace(scheme="ap"))[0]]
         got += [reference.model_solution(m, *args) for m in ("second_order", "limit")]
         rows.append((cfg.epsilon, *(rel_error(f, ref, "linf") for f in got)))
     header = "epsilon,err_ap,err_second_order,err_limit"
@@ -679,7 +682,7 @@ def table_study(config: RunConfig, eps_list=TABLE_EPSILONS, cache_dir: str | Non
 # selftest
 
 def _error_vs_exact(config: RunConfig) -> float:
-    return rel_error(run(config, write=False).f_tilde, reference_filtered(config), "l2")
+    return rel_error(_final_field(config)[0], reference_filtered(config), "l2")
 
 
 def _lab_frame_error_vs_exact(config: RunConfig) -> float:
@@ -716,12 +719,21 @@ def selftest(verbose: bool = True) -> int:
     solution in the lab frame; at t = 0.5, a splitting run (64^2) against
     the exact solution, the relative mass drift of a poisson ap run
     (32^2 x 16, also on half the torus), and the config text round trip.  A
-    working build measures 3.61e-3, 9.47e-3, 5.3e-4 and 4.9e-10.  The linear
-    ap band is +-10 %: an antiderivative of the half torus left unscaled
-    reads 9.0e-3, and a flux 5 % too strong lowers the error to 2.84e-3.
-    The lab frame band reaches 5 % below its value and twice above it, which
-    a lab frame turned by 2 tau instead of tau (0.46) overshoots.  The other
-    bounds are twice the values.  Returns the number of failed checks.
+    working build measures 3.61e-3, 9.47e-3, 5.3e-4 and 4.8e-10.  The linear
+    ap band is +-10 %, the lab frame band reaches 5 % below its value and
+    twice above it, and the other bounds are twice the values.
+
+    The known defects each fail a linear check on a value outside its band:
+    an antiderivative of the half torus left unscaled reads 9.0e-3 on the
+    linear ap check (2.27 times its upper edge), plain data in place of
+    corrected 1.25e-2 (3.1 times), xi_operator ignoring out 242 there (6e4
+    times) and 241 on the lab frame check, and a lab frame turned by 2 tau
+    instead of tau 0.46 on the lab frame check (24 times); a flux 5 % too
+    strong lowers the linear ap error to 2.84e-3, 1.15 times below the lower
+    edge.  The poisson mass drift separates none of them: it catches
+    xi_operator ignoring out (1.02e3), which the linear checks catch too,
+    and reads 9.82e-10 under plain data and 2.2e-10 under the unscaled
+    antiderivative.  Returns the number of failed checks.
     """
     base = RunConfig(epsilon=0.1, t_final=0.5, n_points=64, n_tau=16)
     linear = base.replace(t_final=0.25)

@@ -353,10 +353,12 @@ def test_frame_rotator_matches_the_stacked_construction_entry_for_entry(n, torus
     # the stored entries, zero ghosts included, with columns local to each block
     idx, w = _rotator_stacks(phase, torus.nodes)
     block_start = np.concatenate([np.full(b - a, a) for a, b in blocks])
-    assert np.array_equal(rot.weights, w)
-    assert np.array_equal(rot.indices, idx + ((np.arange(n_tau) - block_start) * n)[:, None, None, None])
-    assert np.array_equal(rot.indptr, np.arange(0, 2 * width * n * n + 1, 2))
-    assert rot.indices.dtype == rot.indptr.dtype == np.int32
+    local = idx + ((np.arange(n_tau) - block_start) * n)[:, None, None, None]
+    assert np.array_equal(np.concatenate([s.data for s in rot.spreads]), w.ravel())
+    assert np.array_equal(np.concatenate([s.indices for s in rot.spreads]), local.ravel())
+    for s, (a, b) in zip(rot.spreads, blocks):
+        assert np.array_equal(s.indptr, np.arange(0, 2 * (b - a) * n * n + 1, 2))
+        assert s.indices.dtype == s.indptr.dtype == np.int32
 
     # every slice, to the bit, against the direct map of all slices on the n xi nodes
     idx += (np.arange(n_tau) * n)[:, None, None, None]
@@ -371,13 +373,16 @@ def test_frame_rotator_matches_the_stacked_construction_entry_for_entry(n, torus
 
 def test_frame_rotator_holds_one_half_of_the_map_and_views_of_it():
     # the rotator of a poisson_ap run, 128^2 on the half torus of 32 slices,
-    # stores 12.25 MiB; each matrix, the CSC deposits too, is a view of the
-    # stored arrays and adds nothing
+    # stores 12.25 MiB: each block's weights and indices, and one row pointer
+    # shared by every block; each CSC deposit is a view of its spread's
+    # arrays and adds nothing
     rot = FrameRotator(PhaseGrid(128), TorusGrid(32, fold=2))
-    stored = (rot.weights, rot.indices, rot.indptr)
-    assert sum(a.nbytes for a in stored) <= 13 * 2 ** 20
-    for matrix in rot.spreads + rot.deposits:
-        for a, b in zip((matrix.data, matrix.indices, matrix.indptr), stored):
+    stored = sum(s.data.nbytes + s.indices.nbytes for s in rot.spreads) + rot.spreads[0].indptr.nbytes
+    assert stored <= 13 * 2 ** 20
+    for s in rot.spreads:
+        assert np.shares_memory(s.indptr, rot.spreads[0].indptr)
+    for spread, deposit in zip(rot.spreads, rot.deposits):
+        for a, b in zip((deposit.data, deposit.indices, deposit.indptr), (spread.data, spread.indices, spread.indptr)):
             assert np.shares_memory(a, b)
 
 

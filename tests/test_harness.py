@@ -340,10 +340,11 @@ def test_lab_frame_is_built_for_snapshot_steps_only(tmp_path, monkeypatch):
 
 
 def test_snapshot_requests_on_one_step_share_a_file(tmp_path):
-    # dt = 0.0125: -1 lands on step 0; 0.02 and 0.024 round to step 2; 0.05 and
-    # 0.5 land on step 4
+    # dt = 0.0125: -1 and -1e308 land on step 0; 0.02 and 0.024 round to step
+    # 2; 0.05, 0.5 and 1e308 land on step 4, each time clamped before it is
+    # divided by dt
     cfg = RunConfig(epsilon=0.5, t_final=0.05, n_points=32, scheme="limit", delta_t=0.0125,
-                    snapshot_times=(-1.0, 0.02, 0.024, 0.05, 0.5), output_dir=str(tmp_path))
+                    snapshot_times=(-1.0, 0.02, 0.024, 0.05, 0.5, 1e308, -1e308), output_dir=str(tmp_path))
     run(cfg)
     names = sorted(p.name for p in tmp_path.glob("snapshot_*.csv"))
     assert names == ["snapshot_0.025.csv", "snapshot_0.05.csv", "snapshot_0.csv"]
@@ -411,6 +412,22 @@ def test_small_box_warns_about_edge_mass(tmp_path):
                     scheme="limit", output_dir=str(tmp_path))
     with pytest.warns(RuntimeWarning, match="box edge"):
         run(cfg, write=False)
+
+
+def test_a_study_cell_warns_about_edge_mass(tmp_path):
+    # linear mode scores against the exact solution, so the warning (1.07e-2
+    # of the mass at t = 0.06) comes from the cell's own run
+    cfg = RunConfig(epsilon=0.5, t_final=0.06, n_points=16, n_tau=8, xi_max=2.0, output_dir=str(tmp_path))
+    with pytest.warns(RuntimeWarning, match="box edge"):
+        convergence_study(cfg, [0.02], [0.5])
+
+
+@pytest.mark.filterwarnings("ignore:density is not even")  # 32 nodes barely resolve the edge
+def test_a_splitting_reference_warns_about_edge_mass():
+    # its fine run puts 2.13e-4 of the mass near the edge of the 32^2 box at t = 0.11
+    cfg = RunConfig(epsilon=0.5, t_final=0.11, n_points=16, reference_n=32, mode="poisson")
+    with pytest.warns(RuntimeWarning, match="box edge"):
+        harness._splitting_reference(cfg)
 
 
 def test_ap_and_splitting_agree_at_eps_one(tmp_path):
@@ -722,7 +739,7 @@ PINNED_REFERENCE_SUMS = {3: (38.42188051005197, 18.590930632683246)}
 
 
 @pytest.mark.filterwarnings("ignore:density is not even")  # 32 nodes barely resolve the edge
-@pytest.mark.filterwarnings("ignore:.*box edge")  # 2.1e-4 of the mass nears the 16^2 box edge; only the sums matter
+@pytest.mark.filterwarnings("ignore:.*box edge")  # 2.1e-4 of the mass nears the 32^2 reference box edge; only the sums matter
 def test_reference_numbers_match_the_cache_version():
     cfg = RunConfig(epsilon=0.5, t_final=0.11, n_points=16, reference_n=32, mode="poisson")
     ref = harness._splitting_reference(cfg)
